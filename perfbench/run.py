@@ -2,7 +2,7 @@
 
 Usage, from the root of the repository::
 
-    python3 perfbench/run.py --workload paper-aware --seed 0 --seconds 20 --trace 0
+    python3 perfbench/run.py --workload paper-aware --seed 0 --seconds 36 --trace 0
 
 The last line of standard output is one JSON object with the keys
 ``correct``, ``attempted``, ``failed`` and ``metrics``; with ``--trace 0``
@@ -120,7 +120,7 @@ def main(argv=None) -> int:
 
     import benchmath
     from spans import Recorder, instrument
-    from workloads import WORKLOADS, check_ops
+    from workloads import WORKLOADS, check_ops, op_parts
 
     if args.workload not in WORKLOADS:
         parser.error(f"--workload must be one of {sorted(WORKLOADS)}")
@@ -144,7 +144,7 @@ def main(argv=None) -> int:
                 ctx = wl.setup(args.seed, rec, work)
             setup_roots.append(span[0])
             setup_times.append(span[4] - span[3])
-        hg = ctx["hg"]
+        stages = wl.stage_contexts(ctx)
         wl.warm_up(ctx, rec)
 
         # -- timed phase --------------------------------------------------
@@ -166,27 +166,47 @@ def main(argv=None) -> int:
         child_kb = _hwm_kb(server.pid) if server is not None else 0
 
         # -- correctness gate and quality oracle (untimed) ----------------
-        failures, digest = check_ops(wl, ops, hg.num_vertices)
+        # Each stage has its own gate; an operation fails if any stage does.
+        failures = [None] * len(ops)
+        digests = []
+        for i, (stage, sctx) in enumerate(stages):
+            stage_failures, stage_digest = check_ops(
+                stage, [op_parts(op)[i] for op in ops], sctx["hg"].num_vertices
+            )
+            failures = [f or g for f, g in zip(failures, stage_failures)]
+            digests.append(stage_digest)
+        digest = digests[0] if len(digests) == 1 else "+".join(map(str, digests))
         notes = []
-        # 0 (never a real value) when no operation passed the gate.
+        # 0 (never a real value) when no operation passed the gate.  A
+        # workload of several stages reports the stages' summed cost and
+        # runtime and their worst imbalance.
         pc_cost = imbalance = app_runtime = replay_s = 0.0
         good = next((op for op, f in zip(ops, failures) if f is None), None)
         if good is not None:
-            quality = evaluate_partition(hg, good.assignment, wl.num_parts, ctx["C"])
-            pc_cost, imbalance = quality.pc_cost, quality.imbalance
-            with rec.span("simcomm.replay") as replay:
-                app_runtime = SyntheticBenchmark(ctx["link"], model="blocking").run(
-                    hg, good.assignment, wl.num_parts
-                ).runtime_s
-            replay_s = replay[4] - replay[3]
-            if imbalance > wl.imbalance_bound + 1e-9:
-                notes.append(f"imbalance {imbalance} over {wl.imbalance_bound}")
             pinned = json.loads((HERE / "pinned.json").read_text())
-            if args.seed == pinned["seed"] and digest != pinned["digests"].get(wl.name):
-                notes.append(f"digest {digest} != pinned {pinned['digests'].get(wl.name)}")
-            ref = wl.reference_digest(ctx)
-            if ref is not None and digest != ref:
-                notes.append(f"digest {digest} != direct library call {ref}")
+            for (stage, sctx), part, stage_digest in zip(stages, op_parts(good), digests):
+                shg = sctx["hg"]
+                quality = evaluate_partition(shg, part.assignment, stage.num_parts, sctx["C"])
+                pc_cost += quality.pc_cost
+                imbalance = max(imbalance, quality.imbalance)
+                with rec.span("simcomm.replay") as replay:
+                    app_runtime += SyntheticBenchmark(sctx["link"], model="blocking").run(
+                        shg, part.assignment, stage.num_parts
+                    ).runtime_s
+                replay_s += replay[4] - replay[3]
+                if quality.imbalance > stage.imbalance_bound + 1e-9:
+                    notes.append(
+                        f"{stage.name}: imbalance {quality.imbalance} "
+                        f"over {stage.imbalance_bound}"
+                    )
+                want = pinned["digests"].get(stage.name)
+                if args.seed == pinned["seed"] and stage_digest != want:
+                    notes.append(f"{stage.name}: digest {stage_digest} != pinned {want}")
+                ref = stage.reference_digest(sctx)
+                if ref is not None and stage_digest != ref:
+                    notes.append(
+                        f"{stage.name}: digest {stage_digest} != direct library call {ref}"
+                    )
         if notes:  # a run-level failure fails every operation sharing the digest
             failures = [f or "; ".join(notes) for f in failures]
         wl.close(ctx)
@@ -203,7 +223,7 @@ def main(argv=None) -> int:
             metrics.update(wl.layers(ops, totals))
             units = {m["name"]: m["unit"] for m in spec["per_layer"]}
         else:
-            pins = hg.num_pins
+            pins = sum(sctx["hg"].num_pins for _, sctx in stages)
             # A request's wall includes the client's turn-around between
             # requests; a batch operation's is the operation itself.
             wall = elapsed / attempted if wl.serves_requests else statistics.median(walls)

@@ -2,8 +2,8 @@
 
 Usage, from the root of the repository::
 
-    python3 perfbench/steady.py --workloads paper-aware,sharded-2w --runs 10
-    python3 perfbench/steady.py --workloads stream-capped --seeds 0,0,7,7
+    python3 perfbench/steady.py --workloads paper-aware,out-of-core --runs 10
+    python3 perfbench/steady.py --workloads out-of-core --seeds 0,0,7,7
 
 Round ``i`` runs every workload once with seed ``i`` (or the ``i``-th of
 ``--seeds``), alternating the workload order from round to round.  For

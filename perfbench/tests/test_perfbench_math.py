@@ -93,6 +93,21 @@ def test_gate_counts_every_kind_of_failure():
     assert benchmath.success_rate(len(ops), failed) == 0.25
 
 
+def test_multi_stage_workload_gates_each_stage():
+    from workloads import WORKLOADS, Op, op_parts
+
+    ooc = WORKLOADS["out-of-core"]
+    assert [stage.name for stage in ooc.stages] == ["stream-capped", "sharded-2w"]
+    # every stage the gate checks has a digest pinned at the pinned seed
+    pinned = json.loads((Path(__file__).resolve().parents[1] / "pinned.json").read_text())
+    gated = {"paper-aware", "service-replay"} | {stage.name for stage in ooc.stages}
+    assert gated == set(pinned["digests"])
+    single = Op(np.zeros(3, dtype=np.int64), {}, 1.0, 0)
+    assert op_parts(single) == [single]
+    both = Op(None, {}, 2.0, 1, parts=[single, single])
+    assert op_parts(both) == [single, single]
+
+
 # ----------------------------------------------------------------------
 # self time
 # ----------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""The four workloads: inputs from the seed, set-up, one operation, layers.
+"""The workloads: inputs from the seed, set-up, one operation, layers.
 
 Each workload generates its hypergraph from the run seed, pins
 ``kernel="python"`` so a host with numba measures the same program, and
@@ -12,7 +12,10 @@ A workload object has
 * ``op(ctx, rec)`` — one timed operation, returning an :class:`Op`;
 * ``layers(ops, totals)`` — the per-layer metrics the traced run
   reports beyond what the spans give generically;
-* ``close(ctx)`` — release what ``setup`` started.
+* ``close(ctx)`` — release what ``setup`` started;
+* ``stage_contexts(ctx)`` — the stages an operation runs, each with its
+  own hypergraph, part count, cost matrix and correctness gate.  A
+  workload is its own single stage; :class:`OutOfCore` runs two.
 """
 
 from __future__ import annotations
@@ -91,6 +94,13 @@ class Op:
     root: int  # span id of the operation
     extra: dict = field(default_factory=dict)
     error: "str | None" = None
+    #: One Op per stage when the workload runs several (see OutOfCore).
+    parts: list = field(default_factory=list)
+
+
+def op_parts(op: Op) -> "list[Op]":
+    """The per-stage operations of ``op``: its parts, or ``op`` itself."""
+    return op.parts or [op]
 
 
 class Workload:
@@ -121,6 +131,9 @@ class Workload:
     def reference_digest(self, ctx: dict) -> "str | None":
         """Digest a direct library call gives for the same input."""
         return None
+
+    def stage_contexts(self, ctx: dict) -> "list[tuple[Workload, dict]]":
+        return [(self, ctx)]
 
 
 class PaperAware(Workload):
@@ -172,7 +185,8 @@ class PaperAware(Workload):
 
 
 class StreamCapped(Workload):
-    """hMetis text ingest plus a capped, windowed BufferedRestreamer."""
+    """hMetis text ingest plus a capped, windowed BufferedRestreamer
+    (the first stage of :class:`OutOfCore`)."""
 
     name = "stream-capped"
     #: Pass budget per window.  Left to converge, a window restream runs
@@ -225,13 +239,22 @@ class StreamCapped(Workload):
 
 
 class Sharded2W(Workload):
-    """Chunk-store replay through the forked two-worker one-pass streamer."""
+    """Chunk-store replay through the forked two-worker one-pass streamer
+    (the second stage of :class:`OutOfCore`)."""
 
     name = "sharded-2w"
     num_nodes = 2
     imbalance_bound = 1.2  # OnePassStreamer's default balance_slack
     parallel_mode = "forked"
     workers = 2
+    #: Presence-table cap as a share of the nets.  At E/4 the cap sits on
+    #: this mesh's LRU cliff: the streamed working set (about one grid
+    #: plane of nets) is close to E/4, and 2 of 32 seeds measured evicted
+    #: 2.3x as often (541k-583k, against 228k-238k) and ran 2x as long.
+    #: At E/8 every seed is past the cliff (462k-479k evictions), so the
+    #: work no longer follows the seed and the eviction path runs hot on
+    #: every run.
+    cap_divisor = 8
 
     def setup(self, seed: int, rec, work: Path) -> dict:
         hg = generate("2cubes_sphere", 33, instance_seed(seed), rec)
@@ -248,7 +271,7 @@ class Sharded2W(Workload):
             with stream, rec.span("sharded"):
                 result = OnePassStreamer(
                     workers=self.workers,
-                    max_tracked_edges=stream.num_edges // 4,
+                    max_tracked_edges=stream.num_edges // self.cap_divisor,
                     kernel="python",
                 ).partition_stream(
                     stream, self.num_parts, cost_matrix=ctx["C"], seed=ctx["seed"]
@@ -272,6 +295,50 @@ class Sharded2W(Workload):
             "sharded.shard_pin_skew": meta("shard_pin_skew"),
             "sharded.busy_ratio": _median(busy(op, t) for op, t in zip(ops, totals)),
         }
+
+
+class OutOfCore(Workload):
+    """The two out-of-core paths in one operation: the ``stream-capped``
+    stage, then the ``sharded-2w`` stage.
+
+    One workload instead of two lets every run last 36 s within the
+    benchmark's time limit; on a shared host whose throughput drifts,
+    short runs of four workloads spread past their bounds.  Each stage keeps its own input, gate, pinned digest and
+    quality oracle; the operation's wall is the two stages in turn.
+    """
+
+    name = "out-of-core"
+    stages = (StreamCapped(), Sharded2W())
+
+    def setup(self, seed: int, rec, work: Path) -> dict:
+        return {"stages": [stage.setup(seed, rec, work) for stage in self.stages]}
+
+    def close(self, ctx: dict) -> None:
+        for stage, sctx in self.stage_contexts(ctx):
+            stage.close(sctx)
+
+    def stage_contexts(self, ctx: dict) -> "list[tuple[Workload, dict]]":
+        return list(zip(self.stages, ctx["stages"]))
+
+    def op(self, ctx: dict, rec) -> Op:
+        with rec.span("op") as span:
+            parts = [stage.op(sctx, rec) for stage, sctx in self.stage_contexts(ctx)]
+        return Op(None, {}, span[4] - span[3], span[0], parts=parts)
+
+    def layers(self, ops, totals):
+        restream, sharded = ([op.parts[i] for op in ops] for i in range(2))
+        out = self.stages[0].layers(restream, totals)
+        out.update(self.stages[1].layers(sharded, totals))
+        # Both stages keep an LRU presence table: count the operation's
+        # evictions over both, and its larger peak.
+        out["lru_state.evictions"] = _median(
+            a.meta["evictions"] + b.meta["evictions"] for a, b in zip(restream, sharded)
+        )
+        out["lru_state.peak_tracked_edges"] = _median(
+            max(a.meta["peak_tracked_edges"], b.meta["peak_tracked_edges"])
+            for a, b in zip(restream, sharded)
+        )
+        return out
 
 
 class ServiceReplay(Workload):
@@ -473,6 +540,4 @@ def _fetch(url: str) -> str:
         return resp.read().decode()
 
 
-WORKLOADS = {
-    wl.name: wl for wl in (PaperAware(), StreamCapped(), Sharded2W(), ServiceReplay())
-}
+WORKLOADS = {wl.name: wl for wl in (PaperAware(), OutOfCore(), ServiceReplay())}
