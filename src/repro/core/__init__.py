@@ -10,10 +10,9 @@ This package implements the paper's Section 4 in full:
   one pass when it degrades.
 * :mod:`~repro.core.value` — the vertex assignment value function
   (Eqs. 1–4).
-* :mod:`~repro.core.state` — the incremental stream state: per-hyperedge
-  partition pin counts, partition loads, O(deg(v) + p) vertex moves.
-* :mod:`~repro.core.schedule` — initial alpha choices and the tempering /
-  refinement update rules.
+* :mod:`~repro.core.schedule` — initial alpha choices, the tempering /
+  refinement update rules and :func:`~repro.core.schedule.run_schedule`,
+  the outer loop every restreaming driver shares.
 * :mod:`~repro.core.metrics` — partition quality metrics: hyperedge cut,
   SOED, connectivity-1, imbalance, and the paper's partitioning
   communication cost (Eq. 5).

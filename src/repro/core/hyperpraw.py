@@ -25,10 +25,11 @@ Complexity per pass: ``O(sum_v deg(v) * p)`` — each vertex move touches
 its incident hyperedges' partition counters, and scoring is one ``p x p``
 mat-vec.
 
-The pass body itself lives in :func:`repro.engine.kernel.pass_kernel`
-(shared with every other streaming partitioner); this class owns only
-Algorithm 1's outer loop — the tempering schedule, the refinement
-rollback and the bookkeeping.
+The pass body lives in :func:`repro.engine.kernel.pass_kernel` and the
+outer loop (tempering, refinement, rollback) in
+:func:`repro.core.schedule.run_schedule`, both shared with the streaming
+partitioners; this class supplies the dense in-memory state and prices
+each pass with Eq. 5.
 """
 
 from __future__ import annotations
@@ -44,10 +45,13 @@ from repro.architecture.cost import (
 )
 from repro.core.base import Partitioner
 from repro.core.config import HyperPRAWConfig
-from repro.core.metrics import partitioning_comm_cost
+from repro.core.metrics import (
+    edge_partition_counts,
+    partition_loads,
+    partitioning_comm_cost,
+)
 from repro.core.result import IterationRecord, PartitionResult
-from repro.core.schedule import TemperingSchedule, initial_alpha
-from repro.core.state import StreamState
+from repro.core.schedule import TemperingSchedule, initial_alpha, run_schedule
 from repro.engine import (
     DenseKernelState,
     HyperPRAWScorer,
@@ -134,11 +138,17 @@ class HyperPRAW(Partitioner):
             self.name = "hyperpraw-aware" if aware else "hyperpraw-basic"
 
         t_start = time.perf_counter()
+        p = num_parts
         # Algorithm 1 line 1: round-robin initialisation.
-        init = np.arange(hg.num_vertices, dtype=np.int64) % num_parts
-        state = StreamState(hg, num_parts, init)
+        assignment = np.arange(hg.num_vertices, dtype=np.int64) % p
+        state = DenseKernelState(
+            p,
+            edge_partition_counts(hg, assignment, p),
+            partition_loads(hg, assignment, p),
+        )
+        expected_loads = np.full(p, hg.total_vertex_weight() / p)
         schedule = TemperingSchedule(
-            alpha=initial_alpha(hg, num_parts, cfg.alpha_initial),
+            alpha=initial_alpha(hg, p, cfg.alpha_initial),
             tempering_update=cfg.alpha_update,
             refinement_factor=cfg.refinement_factor,
         )
@@ -146,110 +156,67 @@ class HyperPRAW(Partitioner):
         if cfg.stream_order == "shuffled":
             as_generator(seed).shuffle(order)
         source = InMemorySource(hg, order=order, block_size=cfg.chunk_size)
-        kernel_state = DenseKernelState.from_stream_state(state)
         score_mode = "chunk" if cfg.chunk_size is not None else "vertex"
+
+        def scorer(alpha: float) -> HyperPRAWScorer:
+            return HyperPRAWScorer(C, alpha, expected_loads, cfg.presence_threshold)
+
         # Resolve the kernel once up front (one fallback warning at most);
         # scorer construction is per pass but its type never changes.
         kernel_mode = resolve_kernel(
-            cfg.kernel,
-            kernel_state,
-            HyperPRAWScorer(
-                C, schedule.alpha, state.expected_loads, cfg.presence_threshold
-            ),
-            score_mode,
+            cfg.kernel, state, scorer(schedule.alpha), score_mode
         )
-        pass_seconds = 0.0
 
-        history: list[IterationRecord] = []
-        best_assignment: "np.ndarray | None" = None
-        best_cost = np.inf
-        converged = False
-        rolled_back = False
-        iterations_run = 0
-
-        for it in range(1, cfg.max_iterations + 1):
-            alpha = schedule.alpha
-            scorer = HyperPRAWScorer(
-                C, alpha, state.expected_loads, cfg.presence_threshold
-            )
-            t_pass = time.perf_counter()
+        def step(alpha: float) -> float:
             pass_kernel(
                 source.blocks(),
-                kernel_state,
-                scorer,
-                state.assignment,
+                state,
+                scorer(alpha),
+                assignment,
                 restream=True,
                 score_mode=score_mode,
                 kernel=kernel_mode,
             )
-            pass_seconds += time.perf_counter() - t_pass
-            iterations_run = it
-            imb = state.imbalance()
-            cost = partitioning_comm_cost(
-                hg,
-                state.assignment,
-                num_parts,
-                C,
-                counts=state.edge_counts,
-                use_edge_weights=cfg.use_edge_weights,
-            )
-            within = imb <= cfg.imbalance_tolerance
-            if cfg.record_history:
-                history.append(
-                    IterationRecord(
-                        iteration=it,
-                        alpha=alpha,
-                        imbalance=imb,
-                        pc_cost=cost,
-                        phase="refinement" if within else "tempering",
-                    )
-                )
-            if not within:
-                schedule.after_pass(within_tolerance=False)
-                continue
-            # --- within tolerance ---------------------------------------
-            if not cfg.refinement:
-                best_assignment, best_cost = state.snapshot(), cost
-                converged = True
-                break
-            if cost < best_cost:
-                best_assignment, best_cost = state.snapshot(), cost
-                schedule.after_pass(within_tolerance=True)
-                continue
-            # Refinement stopped improving: roll back to the best pass.
-            converged = True
-            rolled_back = True
-            break
+            return state.imbalance()
 
-        if best_assignment is None:
-            # Never reached tolerance within the iteration budget; return
-            # the final state (the paper's Algorithm 1 returns P^N too).
-            best_assignment = state.snapshot()
-            best_cost = partitioning_comm_cost(
+        def cost() -> float:
+            return partitioning_comm_cost(
                 hg,
-                best_assignment,
-                num_parts,
+                assignment,
+                p,
                 C,
                 counts=state.edge_counts,
                 use_edge_weights=cfg.use_edge_weights,
             )
+
+        history: list[IterationRecord] = []
+        outcome = run_schedule(
+            schedule,
+            step,
+            cost,
+            assignment.copy,
+            tolerance=cfg.imbalance_tolerance,
+            max_iterations=cfg.max_iterations,
+            refinement=cfg.refinement,
+            history=history if cfg.record_history else None,
+        )
 
         return PartitionResult(
-            assignment=best_assignment,
-            num_parts=num_parts,
+            assignment=outcome.best if outcome.restore else assignment,
+            num_parts=p,
             algorithm=self.name,
             iterations=history,
             metadata={
-                "converged": converged,
-                "rolled_back": rolled_back,
-                "iterations_run": iterations_run,
-                "final_alpha": schedule.alpha,
-                "final_pc_cost": float(best_cost),
+                "converged": outcome.converged,
+                "rolled_back": outcome.rolled_back,
+                "iterations_run": outcome.iterations,
+                "final_alpha": outcome.alpha,
+                "final_pc_cost": outcome.cost,
                 "architecture_aware": aware,
                 "imbalance_tolerance": cfg.imbalance_tolerance,
                 "chunk_size": cfg.chunk_size,
                 "kernel_mode": kernel_mode,
-                "pass_seconds": pass_seconds,
+                "pass_seconds": outcome.pass_seconds,
                 "wall_time_s": time.perf_counter() - t_start,
             },
         )

@@ -21,7 +21,8 @@ parallel sharded streamer — is a thin driver around one loop:
   binary chunk store) and shard-range splitting;
 * :mod:`~repro.engine.kernel` — :func:`pass_kernel`, the single
   remaining implementation of Algorithm 1's pass body, with per-vertex
-  (exact) and per-chunk (vectorised matmul) scoring modes;
+  (exact) and per-chunk (vectorised matmul) scoring modes, and
+  :func:`move_back`, the rollback to a recorded pass;
 * :mod:`~repro.engine.njit_kernel` — the optional numba-compiled twin
   of the vertex-exact loop (``kernel="auto"|"python"|"njit"``, resolved
   by :func:`resolve_kernel` with a warned python fallback);
@@ -45,7 +46,7 @@ from repro.engine.blocks import (
     shard_ranges,
     shard_ranges_by_pins,
 )
-from repro.engine.kernel import apply_balance_cap, pass_kernel
+from repro.engine.kernel import apply_balance_cap, move_back, pass_kernel
 from repro.engine.njit_kernel import (
     KERNEL_CHOICES,
     NUMBA_AVAILABLE,
@@ -80,6 +81,7 @@ __all__ = [
     "shard_ranges_by_pins",
     "pass_kernel",
     "apply_balance_cap",
+    "move_back",
     "KERNEL_CHOICES",
     "NUMBA_AVAILABLE",
     "njit_supported",

@@ -42,7 +42,7 @@ import numpy as np
 
 from repro.engine.njit_kernel import resolve_kernel, run_njit_block
 
-__all__ = ["pass_kernel", "apply_balance_cap"]
+__all__ = ["pass_kernel", "apply_balance_cap", "move_back"]
 
 
 def apply_balance_cap(
@@ -229,3 +229,20 @@ def pass_kernel(
             state.insert_block(edges_all, ptr, new)
         assignment[ids] = new
     return mode
+
+
+def move_back(state, block, assignment: np.ndarray, best: np.ndarray) -> None:
+    """Return ``block``'s vertices to the parts in ``best`` (a rollback).
+
+    ``best`` is ``assignment[block.ids]`` as recorded at the pass being
+    restored; only vertices that moved since are lifted off their
+    current part and re-placed, through the state's per-vertex
+    ``remove``/``place``, so any kernel-protocol state stays consistent.
+    """
+    current = assignment[block.ids]
+    for i in np.flatnonzero(current != best):
+        edges = block.edges_of(i)
+        weight = block.vertex_weights[i]
+        state.remove(edges, int(current[i]), weight)
+        state.place(edges, int(best[i]), weight)
+        assignment[block.ids[i]] = int(best[i])

@@ -93,18 +93,20 @@ def _child(task, conn) -> None:
         conn.close()
 
 
-def run_tasks(tasks, workers: int) -> list:
-    """Run ``tasks`` (zero-arg callables) and return their results in order.
+def run_tasks(tasks, workers: int) -> "tuple[list, str]":
+    """Run ``tasks`` (zero-arg callables); returns ``(results, mode)``.
 
     With ``workers > 1`` and fork available, each task runs in its own
     forked process and its (picklable) result travels back over a pipe;
-    otherwise the tasks run sequentially in-process.  A worker exception
-    is re-raised in the parent as ``RuntimeError``.
+    otherwise the tasks run sequentially in-process.  ``results`` keep
+    the task order and ``mode`` is ``"forked"`` or ``"sequential"``, the
+    way the tasks actually ran.  A worker exception is re-raised in the
+    parent as ``RuntimeError``.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     if _resolve_mode(workers, len(tasks)) == "sequential":
-        return [task() for task in tasks]
+        return [task() for task in tasks], "sequential"
     ctx = mp.get_context("fork")
     procs = []
     for task in tasks:
@@ -128,7 +130,7 @@ def run_tasks(tasks, workers: int) -> list:
             errors.append(payload)
     if errors:
         raise RuntimeError(f"sharded streaming worker failed: {errors[0]}")
-    return results
+    return results, "forked"
 
 
 def _call_child(fn, conn) -> None:

@@ -18,8 +18,8 @@ small duck-typed protocol:
 Two states implement it:
 
 * :class:`DenseKernelState` (here) — the exact ``(E x p)`` count matrix,
-  shared with :class:`~repro.core.state.StreamState` for HyperPRAW or
-  zero-initialised for place-only streams (FENNEL);
+  built from a round-robin assignment for HyperPRAW or zero-initialised
+  for place-only streams (FENNEL);
 * :class:`~repro.streaming.state.StreamingState` — the bounded, capped
   LRU presence table of the out-of-core partitioners
   (``place_deferred = False``: its table must see every placement in
@@ -35,6 +35,10 @@ __all__ = ["DenseKernelState"]
 
 class DenseKernelState:
     """Exact dense counts + loads, in kernel-protocol form.
+
+    Moving a vertex touches only the ``deg(v)`` rows of its incident
+    hyperedges, and the kernel lifts a vertex out before scoring it, so
+    its neighbour counts (Eq. 4's ``X``) never include itself.
 
     Parameters
     ----------
@@ -61,11 +65,6 @@ class DenseKernelState:
         self._flat = edge_counts.reshape(-1)
 
     # ------------------------------------------------------------------
-    @classmethod
-    def from_stream_state(cls, state) -> "DenseKernelState":
-        """Share arrays with an existing :class:`~repro.core.state.StreamState`."""
-        return cls(state.num_parts, state.edge_counts, state.loads)
-
     @classmethod
     def empty(cls, num_edges: int, num_parts: int) -> "DenseKernelState":
         """Zero counts/loads — the state of a place-only stream's start."""
@@ -95,6 +94,13 @@ class DenseKernelState:
         """Place one vertex (incident ``edges``, ``weight``) onto ``part``."""
         self.edge_counts[edges, part] += 1
         self.loads[part] += weight
+
+    def imbalance(self) -> float:
+        """max-load / mean-load (1.0 when nothing is placed)."""
+        mean = self.loads.sum() / self.num_parts
+        if mean == 0:
+            return 1.0
+        return float(self.loads.max() / mean)
 
     # ------------------------------------------------------------------
     # block operations (the vectorised chunk path)

@@ -83,15 +83,6 @@ __all__ = [
 ]
 
 
-def _parallel_mode(workers: int, num_tasks: int) -> str:
-    """What :func:`repro.engine.parallel.run_tasks` will actually do."""
-    from repro.engine import parallel
-
-    if workers > 1 and num_tasks > 1 and parallel.fork_available():
-        return "forked"
-    return "sequential"
-
-
 def materialise_stream(stream) -> Hypergraph:
     """Rebuild an in-memory :class:`Hypergraph` from a vertex chunk stream.
 
@@ -293,8 +284,7 @@ class NeighborhoodExpansion(Partitioner):
             return task
 
         tasks = [make_task(a, b) for a, b in bounds]
-        parallel_mode = _parallel_mode(self.workers, len(tasks))
-        results = run_tasks(tasks, self.workers)
+        results, parallel_mode = run_tasks(tasks, self.workers)
         loads = np.zeros(p, dtype=np.float64)
         for (a, b), (parts, shard_loads, _, _, _) in zip(bounds, results):
             assignment[order[a:b]] = parts
@@ -762,8 +752,7 @@ class MinMaxStreamer(Partitioner):
             return task
 
         tasks = [make_task(k) for k in range(len(ranges))]
-        parallel_mode = _parallel_mode(self.workers, len(tasks))
-        results = run_tasks(tasks, self.workers)
+        results, parallel_mode = run_tasks(tasks, self.workers)
         assignment = np.full(stream.num_vertices, -1, dtype=np.int64)
         loads = np.zeros(p, dtype=np.float64)
         for (a, b), res in zip(vertex_bounds, results):
@@ -965,7 +954,6 @@ def refine_blocks(
         shard_ranges_by_pins(block_pins, refine.workers) if blocks else []
     )
     t_start = time.perf_counter()
-    parallel_mode = _parallel_mode(refine.workers, len(ranges))
     total_moves = 0
     passes_run = 0
     for _ in range(refine.passes):
@@ -984,7 +972,7 @@ def refine_blocks(
             )
             for lo, hi in ranges
         ]
-        proposals = run_tasks(tasks, refine.workers)
+        proposals, parallel_mode = run_tasks(tasks, refine.workers)
         moves = [m for sub in proposals for m in sub]
         applied = _apply_moves(
             moves, counts, assignment, loads, edge_weights, cap, refine.min_gain

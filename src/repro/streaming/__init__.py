@@ -22,16 +22,18 @@ massive-scale placement of HYPE, arXiv:1810.11319 — makes explicit):
   vertex once, on arrival, with the architecture-aware value function
   (Eq. 1).
 * :mod:`~repro.streaming.restream` — :class:`BufferedRestreamer`: buffer
-  a window of recent vertices and re-stream it HyperPRAW-style
-  (tempering, refinement, rollback).  With an unbounded buffer and table
-  it reproduces in-memory HyperPRAW assignment-for-assignment; quality
-  degrades gracefully as the buffer shrinks.
+  a window of recent vertices and re-stream it under HyperPRAW's
+  schedule (:func:`repro.core.schedule.run_schedule`).  With an
+  unbounded buffer and table it reproduces in-memory HyperPRAW
+  assignment-for-assignment; quality degrades gracefully as the buffer
+  shrinks.
 
 * :mod:`~repro.streaming.sharded` — :class:`ShardedStreamer`: parallel
   sharded streaming (ROADMAP item (a)).  Contiguous chunk ranges are
   streamed by forked workers against snapshot presence tables, a merge
   step reconciles loads/presence and flags multi-shard (boundary) nets,
-  and a final single-worker restream fixes the boundary vertices.  Both
+  and barrier-synchronised rounds across the same workers restream the
+  boundary vertices under the same schedule.  Both
   streaming partitioners surface it through a ``workers=N`` knob.
 
 * :mod:`~repro.streaming.chunkstore` — the **persistent binary chunk

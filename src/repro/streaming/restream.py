@@ -4,13 +4,10 @@
 ``buffer_size`` arrived vertices.  Arriving vertices are first placed
 round-robin — the streaming analogue of Algorithm 1 line 1 — and whenever
 the window fills (and once more at end of stream) the whole window is
-**re-streamed** with the full HyperPRAW schedule: repeated greedy passes
-driven by the Eq. 1 value function, alpha tempering while over the
-imbalance tolerance, then the refinement phase that keeps restreaming
-while the monitored communication cost improves and rolls back one pass
-when it degrades.  Re-streamed vertices are then frozen; their pin counts
-stay in the (capped) presence table so later windows coordinate with
-them.
+**re-streamed** under Algorithm 1's schedule — the one outer loop,
+:func:`repro.core.schedule.run_schedule`, that in-memory HyperPRAW runs
+too.  Re-streamed vertices are then frozen; their pin counts stay in the
+(capped) presence table so later windows coordinate with them.
 
 Convergence knob: with ``buffer_size=None`` (unbounded) and an unbounded
 presence table the entire stream is one window and the algorithm **is**
@@ -55,8 +52,19 @@ import numpy as np
 from repro.core.base import Partitioner
 from repro.core.config import HyperPRAWConfig
 from repro.core.result import IterationRecord, PartitionResult
-from repro.core.schedule import TemperingSchedule, initial_alpha_from_counts
-from repro.engine import HyperPRAWScorer, VertexBlock, pass_kernel, resolve_kernel
+from repro.core.schedule import (
+    ScheduleOutcome,
+    TemperingSchedule,
+    initial_alpha_from_counts,
+    run_schedule,
+)
+from repro.engine import (
+    HyperPRAWScorer,
+    VertexBlock,
+    move_back,
+    pass_kernel,
+    resolve_kernel,
+)
 from repro.hypergraph.model import Hypergraph
 from repro.streaming.reader import (
     DEFAULT_CHUNK_SIZE,
@@ -80,8 +88,8 @@ class _Window:
         self._chunks.append(chunk)
         self.num_vertices += chunk.num_vertices
 
-    def arrays(self) -> "tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]":
-        """``(vertex_ids, local_ptr, edges, weights)`` over the window."""
+    def block(self) -> VertexBlock:
+        """The whole window as one block (local CSR)."""
         ids = np.concatenate(
             [np.arange(c.start, c.stop, dtype=np.int64) for c in self._chunks]
         )
@@ -100,7 +108,9 @@ class _Window:
             np.concatenate(edge_parts) if edge_parts else np.empty(0, dtype=np.int64)
         )
         weights = np.concatenate(weight_parts) if weight_parts else np.empty(0)
-        return ids, ptr, edges, weights
+        return VertexBlock(
+            ids=ids, vertex_ptr=ptr, vertex_edges=edges, vertex_weights=weights
+        )
 
     def clear(self) -> None:
         self._chunks.clear()
@@ -108,27 +118,17 @@ class _Window:
 
 
 def _window_blocks(
-    ids: np.ndarray,
-    ptr: np.ndarray,
-    edges: np.ndarray,
-    weights: np.ndarray,
-    chunk_size: "int | None",
+    window: VertexBlock, chunk_size: "int | None"
 ) -> "tuple[VertexBlock, ...]":
-    """One block per window (vertex mode), or ``chunk_size`` sub-blocks.
+    """The window as one block (vertex mode), or ``chunk_size`` sub-blocks.
 
     Sub-blocks are views into the window arrays (no copies) with the
     local CSR rebased per block, ready for the kernel's chunk-restream
     path (``lift_block`` + one matmul per sub-block).
     """
     if chunk_size is None:
-        return (
-            VertexBlock(
-                ids=ids,
-                vertex_ptr=ptr,
-                vertex_edges=edges,
-                vertex_weights=weights,
-            ),
-        )
+        return (window,)
+    ids, ptr = window.ids, window.vertex_ptr
     blocks = []
     m = ids.size
     for a in range(0, m, chunk_size):
@@ -138,8 +138,8 @@ def _window_blocks(
             VertexBlock(
                 ids=ids[a:b],
                 vertex_ptr=ptr[a : b + 1] - base,
-                vertex_edges=edges[base : ptr[b]],
-                vertex_weights=weights[a:b],
+                vertex_edges=window.vertex_edges[base : ptr[b]],
+                vertex_weights=window.vertex_weights[a:b],
             )
         )
     return tuple(blocks)
@@ -431,19 +431,17 @@ class BufferedRestreamer(Partitioner):
         def run_batch() -> None:
             if window.num_vertices == 0:
                 return
-            iters, converged, rolled_back, cost, alpha_end, seconds = (
-                self._restream_window(
-                    window, state, C, alpha0, edge_weights, assignment, history,
-                    stats["iterations"], kernel_mode,
-                )
+            outcome = self._restream_window(
+                window, state, C, alpha0, edge_weights, assignment, history,
+                stats["iterations"], kernel_mode,
             )
             stats["batches"] += 1
-            stats["iterations"] += iters
-            stats["rolled_back"] = stats["rolled_back"] or rolled_back
-            stats["converged"] = stats["converged"] and converged
-            stats["final_cost"] = cost
-            stats["final_alpha"] = alpha_end
-            stats["pass_seconds"] += seconds
+            stats["iterations"] += outcome.iterations
+            stats["rolled_back"] = stats["rolled_back"] or outcome.rolled_back
+            stats["converged"] = stats["converged"] and outcome.converged
+            stats["final_cost"] = outcome.cost
+            stats["final_alpha"] = outcome.alpha
+            stats["pass_seconds"] += outcome.pass_seconds
             window.clear()
 
         for chunk in chunks:
@@ -485,104 +483,39 @@ class BufferedRestreamer(Partitioner):
         history: "list[IterationRecord] | None",
         iteration_offset: int,
         kernel_mode: str = "python",
-    ) -> "tuple[int, bool, bool, float, float, float]":
-        """HyperPRAW's outer loop over one window; mirrors ``partition``.
-
-        Returns ``(iterations, converged, rolled_back, best_cost, alpha,
-        pass_seconds)``.
-        """
+    ) -> ScheduleOutcome:
+        """Run the HyperPRAW schedule over one window, then leave the
+        window at the pass the schedule keeps."""
         cfg = self.config
-        win_ids, win_ptr, win_edges, win_w = window.arrays()
+        win = window.block()
+        blocks = _window_blocks(win, cfg.chunk_size)
         score_mode = self._score_mode()
-        blocks = _window_blocks(
-            win_ids, win_ptr, win_edges, win_w, cfg.chunk_size
-        )
-        schedule = TemperingSchedule(
-            alpha=alpha0,
-            tempering_update=cfg.alpha_update,
-            refinement_factor=cfg.refinement_factor,
-        )
-        best: "np.ndarray | None" = None
-        best_cost = np.inf
-        cost = np.inf
-        converged = False
-        rolled_back = False
-        iterations = 0
-        pass_seconds = 0.0
 
-        for it in range(1, cfg.max_iterations + 1):
-            alpha = schedule.alpha
+        def step(alpha: float) -> float:
             scorer = HyperPRAWScorer(
                 C, alpha, state.expected_loads, cfg.presence_threshold
             )
-            t_pass = time.perf_counter()
             pass_kernel(
                 blocks, state, scorer, assignment, restream=True,
                 score_mode=score_mode, kernel=kernel_mode,
             )
-            pass_seconds += time.perf_counter() - t_pass
-            iterations = it
-            imb = state.imbalance()
-            cost = state.pc_cost(C, edge_weights=edge_weights)
-            within = imb <= cfg.imbalance_tolerance
-            if history is not None:
-                history.append(
-                    IterationRecord(
-                        iteration=iteration_offset + it,
-                        alpha=alpha,
-                        imbalance=imb,
-                        pc_cost=cost,
-                        phase="refinement" if within else "tempering",
-                    )
-                )
-            if not within:
-                schedule.after_pass(within_tolerance=False)
-                continue
-            if not cfg.refinement:
-                best, best_cost = assignment[win_ids].copy(), cost
-                converged = True
-                break
-            if cost < best_cost:
-                best, best_cost = assignment[win_ids].copy(), cost
-                schedule.after_pass(within_tolerance=True)
-                continue
-            # Refinement stopped improving: roll back to the best pass.
-            converged = True
-            rolled_back = True
-            break
+            return state.imbalance()
 
-        if best is None:
-            # Tolerance never reached within the budget: freeze the final
-            # pass, as in-memory HyperPRAW returns P^N.
-            best_cost = cost
-        else:
-            self._restore_window(
-                state, win_ids, win_ptr, win_edges, win_w, assignment, best
-            )
-        return (
-            iterations,
-            converged,
-            rolled_back,
-            float(best_cost),
-            schedule.alpha,
-            pass_seconds,
+        outcome = run_schedule(
+            TemperingSchedule(
+                alpha=alpha0,
+                tempering_update=cfg.alpha_update,
+                refinement_factor=cfg.refinement_factor,
+            ),
+            step,
+            lambda: state.pc_cost(C, edge_weights=edge_weights),
+            lambda: assignment[win.ids].copy(),
+            tolerance=cfg.imbalance_tolerance,
+            max_iterations=cfg.max_iterations,
+            refinement=cfg.refinement,
+            history=history,
+            iteration_offset=iteration_offset,
         )
-
-    @staticmethod
-    def _restore_window(
-        state: StreamingState,
-        win_ids: np.ndarray,
-        win_ptr: np.ndarray,
-        win_edges: np.ndarray,
-        win_w: np.ndarray,
-        assignment: np.ndarray,
-        best: np.ndarray,
-    ) -> None:
-        """Move window vertices back to the best recorded pass's parts."""
-        current = assignment[win_ids]
-        for i in np.flatnonzero(current != best):
-            v = int(win_ids[i])
-            edges = win_edges[win_ptr[i] : win_ptr[i + 1]]
-            state.remove(edges, int(current[i]), win_w[i])
-            state.place(edges, int(best[i]), win_w[i])
-            assignment[v] = int(best[i])
+        if outcome.restore:
+            move_back(state, win, assignment, outcome.best)
+        return outcome

@@ -34,11 +34,13 @@ in three phases, every one of them sharded:
    broadcasts a snapshot (alpha, global loads, merged boundary rows),
    every worker restreams its own boundary vertices against it (its
    interior nets stay in its local table, never shipped), and the driver
-   merges the returned deltas at the barrier, running the full HyperPRAW
-   schedule — alpha tempering while over the imbalance tolerance, then
-   refinement with rollback — a single fixed-alpha pass is *not*
-   enough: from a balanced merged state the communication term dominates
-   and collapses the partition, exactly the failure mode Algorithm 1's
+   merges the returned deltas at the barrier.  The rounds run under
+   Algorithm 1's schedule (:func:`repro.core.schedule.run_schedule`, the
+   outer loop in-memory HyperPRAW and the buffered windows share), and a
+   rollback is a ``stop`` message that asks every worker to move its
+   boundary vertices back.  A single fixed-alpha pass is *not* enough:
+   from a balanced merged state the communication term dominates and
+   collapses the partition, exactly the failure mode Algorithm 1's
    tempering exists to prevent.
 
 With ``workers=1`` there is one shard covering the whole stream, no
@@ -72,13 +74,18 @@ import warnings
 import numpy as np
 
 from repro.core.base import Partitioner
-from repro.core.schedule import TemperingSchedule, initial_alpha_from_counts
+from repro.core.schedule import (
+    TemperingSchedule,
+    initial_alpha_from_counts,
+    run_schedule,
+)
 from repro.engine import (
     FennelScorer,
     HyperPRAWScorer,
     ShardRounds,
     VertexBlock,
     merge_shard_tables,
+    move_back,
     pass_kernel,
     segment_gather_index,
     shard_ranges,
@@ -408,14 +415,6 @@ class ShardedStreamer(Partitioner):
                 np.searchsorted(all_edges, boundary)
             ].copy()
             if nshards > 1 and boundary.size and max_boundary > 0:
-                alpha0 = initial_alpha_from_counts(
-                    counts[0], counts[1], p, profile["alpha_mode"]
-                )
-                schedule = TemperingSchedule(
-                    alpha=alpha0,
-                    tempering_update=profile["alpha_update"],
-                    refinement_factor=profile["refinement_factor"],
-                )
                 # What the v1 full-snapshot broadcast would ship to one
                 # shard each round — the yardstick tailoring is measured
                 # against (broadcast_bytes_saved metadata).
@@ -437,13 +436,16 @@ class ShardedStreamer(Partitioner):
                         boundary_payload_bytes += (
                             boundary.nbytes + reply["payload_bytes"]
                         )
-                best_cost = np.inf
                 record_best = False
                 damp = True  # over tolerance until a pass proves otherwise
-                for it in range(1, max_boundary + 1):
+                replies: list = []
+
+                def step(alpha: float) -> float:
+                    nonlocal record_best, damp, replies, global_loads
+                    nonlocal boundary_payload_bytes
                     loads_snap = global_loads.copy()
                     base_ctl = {
-                        "alpha": schedule.alpha,
+                        "alpha": alpha,
                         "loads": loads_snap,
                         "record_best": record_best,
                         "damp": damp,
@@ -465,7 +467,6 @@ class ShardedStreamer(Partitioner):
                         messages = [("pass", ctl)] * nshards
                     record_best = False
                     replies = pool.exchange(messages)
-                    boundary_iterations = it
                     for k, reply in enumerate(replies):
                         global_loads += reply["delta_loads"]
                         sel = sels[k] if sels is not None else reply["edge_sel"]
@@ -494,21 +495,36 @@ class ShardedStreamer(Partitioner):
                     # suppresses cut improvements); it re-engages the
                     # moment balance is lost again.
                     damp = imb > profile["imbalance_tolerance"]
-                    if damp:
-                        schedule.after_pass(within_tolerance=False)
-                        continue
-                    cost = _table_cost(
+                    return imb
+
+                def cost() -> float:
+                    return _table_cost(
                         bound_counts, C, boundary, edge_w
                     ) + sum(reply["interior_cost"] for reply in replies)
-                    if not profile["refinement"]:
-                        break  # the current pass is the answer
-                    if cost < best_cost:
-                        best_cost = cost
-                        record_best = True  # snapshot before the next pass
-                        schedule.after_pass(within_tolerance=True)
-                        continue
-                    rollback = True  # refinement stopped improving
-                    break
+
+                def snapshot() -> None:
+                    # Workers record their boundary parts at the start of
+                    # the next round, before that pass moves anything.
+                    nonlocal record_best
+                    record_best = True
+
+                outcome = run_schedule(
+                    TemperingSchedule(
+                        alpha=initial_alpha_from_counts(
+                            counts[0], counts[1], p, profile["alpha_mode"]
+                        ),
+                        tempering_update=profile["alpha_update"],
+                        refinement_factor=profile["refinement_factor"],
+                    ),
+                    step,
+                    cost,
+                    snapshot,
+                    tolerance=profile["imbalance_tolerance"],
+                    max_iterations=max_boundary,
+                    refinement=profile["refinement"],
+                )
+                boundary_iterations = outcome.iterations
+                rollback = outcome.restore
 
             finals = pool.stop(
                 [("stop", {"rollback": rollback, "boundary_edges": boundary})]
@@ -850,19 +866,8 @@ def shard_stream_task(
         if block is not None and block.num_vertices
         else None
     )
-    if (
-        ctl["rollback"]
-        and best is not None
-        and block is not None
-        and block.num_vertices
-    ):
-        current = local[block.ids]
-        for i in np.flatnonzero(current != best):
-            v = int(block.ids[i])
-            e_v = block.edges_of(i)
-            state.remove(e_v, int(current[i]), block.vertex_weights[i])
-            state.place(e_v, int(best[i]), block.vertex_weights[i])
-            local[v] = int(best[i])
+    if ctl["rollback"] and best is not None:
+        move_back(state, block, local, best)
     return {
         "assignment": local[v_lo:v_hi],
         "delta_loads": state.loads - loads_after,

@@ -1,8 +1,8 @@
 """Bounded partition state for the streaming partitioners.
 
-The in-memory :class:`~repro.core.state.StreamState` keeps the full
-``(E x p)`` hyperedge-partition count matrix — exactly the structure an
-out-of-core run cannot afford.  :class:`StreamingState` keeps the same
+In-memory HyperPRAW's :class:`~repro.engine.states.DenseKernelState`
+keeps the full ``(E x p)`` hyperedge-partition count matrix — exactly the
+structure an out-of-core run cannot afford.  :class:`StreamingState` keeps the same
 two ingredients of the value function in bounded form:
 
 * ``loads`` — per-partition vertex-weight totals (``p`` floats, exact);
@@ -15,7 +15,7 @@ two ingredients of the value function in bounded form:
   the hot nets stay resident and the stale ones fall off.
 
 With ``max_tracked_edges=None`` the table is unbounded and the state is
-an exact sparse mirror of ``StreamState`` — the configuration under which
+an exact sparse mirror of the dense state — the configuration under which
 :class:`~repro.streaming.restream.BufferedRestreamer` reproduces
 in-memory HyperPRAW bit for bit.
 

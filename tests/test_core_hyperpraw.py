@@ -7,7 +7,7 @@ from repro.architecture.cost import uniform_cost_matrix
 from repro.core.config import HyperPRAWConfig
 from repro.core.hyperpraw import HyperPRAW
 from repro.core.metrics import evaluate_partition, imbalance
-from repro.core.schedule import TemperingSchedule, initial_alpha
+from repro.core.schedule import TemperingSchedule, initial_alpha, run_schedule
 from repro.hypergraph.model import Hypergraph
 from repro.hypergraph.suite import load_instance
 
@@ -67,6 +67,106 @@ class TestSchedule:
             TemperingSchedule(alpha=0.0)
         with pytest.raises(ValueError):
             TemperingSchedule(alpha=1.0, tempering_update=-1)
+
+
+#: Scripted ``(imbalance, cost)`` passes against tolerance 1.1, starting
+#: at alpha 1 with tempering x2 and refinement x0.5; the pass budget is
+#: the script length.  Columns: script,
+#: refinement, alphas used, final alpha, converged, rolled_back, best
+#: pass (``None`` = none within tolerance), restore, kept cost.
+SCHEDULE_CASES = {
+    "tempering_until_within": (
+        [(1.5, 9.0), (1.3, 8.0), (1.05, 7.0)], True,
+        [1.0, 2.0, 4.0], 2.0, False, False, 3, False, 7.0,
+    ),
+    "refinement_improves_to_budget": (
+        [(1.05, 10.0), (1.0, 9.0), (1.02, 8.0)], True,
+        [1.0, 0.5, 0.25], 0.125, False, False, 3, False, 8.0,
+    ),
+    "refinement_stalls_rolls_back": (
+        [(1.2, 20.0), (1.05, 10.0), (1.0, 9.0), (1.0, 9.5), (1.0, 1.0)], True,
+        [1.0, 2.0, 1.0, 0.5], 0.5, True, True, 3, True, 9.0,
+    ),
+    "no_refinement_stops_at_first_within": (
+        [(1.3, 5.0), (1.08, 4.0), (1.0, 3.0)], False,
+        [1.0, 2.0], 2.0, True, False, 2, False, 4.0,
+    ),
+    "never_within_keeps_final": (
+        [(1.5, 5.0), (1.4, 4.0), (1.3, 3.0)], True,
+        [1.0, 2.0, 4.0], 8.0, False, False, None, False, 3.0,
+    ),
+    "budget_ends_outside_restores_best": (
+        [(1.2, 20.0), (1.05, 10.0), (1.0, 9.0), (1.3, 5.0)], True,
+        [1.0, 2.0, 1.0, 0.5], 1.0, False, False, 3, True, 9.0,
+    ),
+}
+
+
+class TestRunSchedule:
+    @staticmethod
+    def drive(script, refinement, *, record, offset=0):
+        passes = []
+        cost_calls = []
+        snapshots = []
+
+        def step(alpha):
+            passes.append(alpha)
+            return script[len(passes) - 1][0]
+
+        def cost():
+            cost_calls.append(len(passes))
+            return script[len(passes) - 1][1]
+
+        def snapshot():
+            snapshots.append(len(passes))
+            return f"pass {len(passes)}"
+
+        history = [] if record else None
+        out = run_schedule(
+            TemperingSchedule(alpha=1.0, tempering_update=2.0, refinement_factor=0.5),
+            step,
+            cost,
+            snapshot,
+            tolerance=1.1,
+            max_iterations=len(script),
+            refinement=refinement,
+            history=history,
+            iteration_offset=offset,
+        )
+        return out, passes, history, cost_calls, snapshots
+
+    @pytest.mark.parametrize("case", sorted(SCHEDULE_CASES))
+    def test_scripted_passes(self, case):
+        (script, refinement, alphas, final_alpha, converged, rolled_back,
+         best, restore, kept_cost) = SCHEDULE_CASES[case]
+        out, passes, history, _, snapshots = self.drive(
+            script, refinement, record=True, offset=10
+        )
+        n = len(alphas)
+        assert passes == alphas
+        assert out.iterations == n
+        assert out.alpha == final_alpha
+        assert (out.converged, out.rolled_back) == (converged, rolled_back)
+        assert out.best == (None if best is None else f"pass {best}")
+        assert out.restore is restore
+        assert out.cost == kept_cost
+        assert [h.iteration for h in history] == list(range(11, 11 + n))
+        assert [h.alpha for h in history] == alphas
+        assert [h.phase for h in history] == [
+            "refinement" if imb <= 1.1 else "tempering" for imb, _ in script[:n]
+        ]
+        assert [h.pc_cost for h in history] == [c for _, c in script[:n]]
+        if best is not None:
+            assert snapshots[-1] == best
+
+    @pytest.mark.parametrize("case", sorted(SCHEDULE_CASES))
+    def test_cost_priced_only_within_tolerance(self, case):
+        script, refinement, alphas, *_ = SCHEDULE_CASES[case]
+        out, _, history, cost_calls, _ = self.drive(script, refinement, record=False)
+        within = [i + 1 for i, (imb, _) in enumerate(script[: len(alphas)]) if imb <= 1.1]
+        assert history is None
+        assert cost_calls == (within or [len(alphas)])
+        assert out.cost == SCHEDULE_CASES[case][-1]
 
 
 class TestBasicBehaviour:

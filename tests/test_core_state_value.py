@@ -1,4 +1,4 @@
-"""Tests for the incremental stream state and the value function."""
+"""Tests for the dense kernel state and the value function."""
 
 import numpy as np
 import pytest
@@ -6,72 +6,70 @@ from hypothesis import given, settings, strategies as st
 
 from repro.architecture.cost import uniform_cost_matrix
 from repro.core.metrics import edge_partition_counts, partition_loads
-from repro.core.state import StreamState
 from repro.core.value import assignment_values, best_partition
+from repro.engine import DenseKernelState
 from repro.hypergraph.model import Hypergraph
 
 
-class TestStreamState:
+def dense_state(hg, num_parts, assignment):
+    """The dense kernel state HyperPRAW starts from, for ``assignment``."""
+    return DenseKernelState(
+        num_parts,
+        edge_partition_counts(hg, assignment, num_parts),
+        partition_loads(hg, assignment, num_parts),
+    )
+
+
+def move(hg, state, assignment, v, part):
+    """Lift vertex ``v`` off its part and place it on ``part``."""
+    edges = hg.edges_of(v)
+    weight = hg.vertex_weights[v]
+    state.remove(edges, int(assignment[v]), weight)
+    state.place(edges, part, weight)
+    assignment[v] = part
+
+
+def assert_consistent(hg, state, assignment):
+    """The incremental counters equal a fresh recomputation."""
+    p = state.num_parts
+    assert np.array_equal(
+        state.edge_counts, edge_partition_counts(hg, assignment, p)
+    ), "edge counts drifted"
+    assert np.allclose(state.loads, partition_loads(hg, assignment, p)), "loads drifted"
+
+
+class TestDenseKernelState:
     def test_initial_state_matches_metrics(self, tiny_hypergraph):
         a = np.array([0, 1, 0, 1, 0, 1])
-        state = StreamState(tiny_hypergraph, 2, a)
-        assert np.array_equal(
-            state.edge_counts, edge_partition_counts(tiny_hypergraph, a, 2)
-        )
-        assert np.array_equal(
-            state.loads, partition_loads(tiny_hypergraph, a, 2)
-        )
+        state = dense_state(tiny_hypergraph, 2, a)
+        assert_consistent(tiny_hypergraph, state, a)
 
     def test_remove_place_roundtrip(self, tiny_hypergraph):
         a = np.array([0, 1, 0, 1, 0, 1])
-        state = StreamState(tiny_hypergraph, 2, a)
-        old = state.remove(2)
-        assert old == 0
-        state.place(2, 1)
-        assert state.assignment[2] == 1
-        state.consistency_check()
-
-    def test_double_remove_rejected(self, tiny_hypergraph):
-        state = StreamState(tiny_hypergraph, 2, np.zeros(6, dtype=int))
-        state.remove(0)
-        with pytest.raises(RuntimeError):
-            state.remove(1)
-
-    def test_place_wrong_vertex_rejected(self, tiny_hypergraph):
-        state = StreamState(tiny_hypergraph, 2, np.zeros(6, dtype=int))
-        state.remove(0)
-        with pytest.raises(RuntimeError):
-            state.place(1, 0)
+        state = dense_state(tiny_hypergraph, 2, a)
+        move(tiny_hypergraph, state, a, 2, 1)
+        assert a[2] == 1
+        assert_consistent(tiny_hypergraph, state, a)
 
     def test_neighbour_counts_exclude_removed_vertex(self, tiny_hypergraph):
         # assignment [0,0,1,1,2,2]; removing vertex 0 and asking for X:
         # edge {0,1,2}: neighbours 1(p0), 2(p1); edge {0,5}: 5(p2).
-        state = StreamState(tiny_hypergraph, 3, np.array([0, 0, 1, 1, 2, 2]))
-        state.remove(0)
-        assert state.neighbour_counts(0).tolist() == [1, 1, 1]
+        state = dense_state(tiny_hypergraph, 3, np.array([0, 0, 1, 1, 2, 2]))
+        edges = tiny_hypergraph.edges_of(0)
+        state.remove(edges, 0, tiny_hypergraph.vertex_weights[0])
+        assert state.gather(edges).tolist() == [1, 1, 1]
 
     def test_isolated_vertex_neighbours_zero(self):
         hg = Hypergraph(4, [[0, 1]])
-        state = StreamState(hg, 2, np.zeros(4, dtype=int))
-        state.remove(3)
-        assert state.neighbour_counts(3).tolist() == [0, 0]
+        state = dense_state(hg, 2, np.zeros(4, dtype=int))
+        edges = hg.edges_of(3)
+        state.remove(edges, 0, hg.vertex_weights[3])
+        assert state.gather(edges).tolist() == [0, 0]
 
     def test_imbalance(self, tiny_hypergraph):
-        state = StreamState(tiny_hypergraph, 2, np.zeros(6, dtype=int))
+        state = dense_state(tiny_hypergraph, 2, np.zeros(6, dtype=int))
         assert state.imbalance() == pytest.approx(2.0)
-
-    def test_expected_loads_validation(self, tiny_hypergraph):
-        with pytest.raises(ValueError):
-            StreamState(
-                tiny_hypergraph, 2, np.zeros(6, dtype=int), expected_loads=np.ones(3)
-            )
-        with pytest.raises(ValueError):
-            StreamState(
-                tiny_hypergraph,
-                2,
-                np.zeros(6, dtype=int),
-                expected_loads=np.array([1.0, 0.0]),
-            )
+        assert DenseKernelState.empty(3, 2).imbalance() == 1.0
 
     @settings(max_examples=30, deadline=None)
     @given(st.lists(st.tuples(st.integers(0, 9), st.integers(0, 3)), min_size=1, max_size=60))
@@ -82,11 +80,11 @@ class TestStreamState:
             10,
             [[0, 1, 2], [2, 3, 4], [4, 5, 6], [6, 7, 8], [8, 9, 0], [1, 5, 9]],
         )
-        state = StreamState(hg, 4, np.arange(10) % 4)
+        a = np.arange(10) % 4
+        state = dense_state(hg, 4, a)
         for v, part in moves:
-            state.remove(v)
-            state.place(v, part)
-        state.consistency_check()
+            move(hg, state, a, v, part)
+        assert_consistent(hg, state, a)
 
 
 class TestValueFunction:

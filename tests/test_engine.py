@@ -24,14 +24,21 @@ from repro.engine import (
     VertexBlock,
     apply_balance_cap,
     block_of,
+    fork_available,
     merge_shard_tables,
+    move_back,
     pass_kernel,
     run_tasks,
     shard_ranges,
 )
 from repro.hypergraph.suite import load_instance
 from repro.partitioning.fennel import FennelStreaming
-from repro.streaming import BufferedRestreamer, HypergraphChunkStream, OnePassStreamer
+from repro.streaming import (
+    BufferedRestreamer,
+    HypergraphChunkStream,
+    OnePassStreamer,
+    StreamingState,
+)
 
 
 def _digest(assignment: np.ndarray) -> str:
@@ -165,6 +172,40 @@ class TestDenseKernelState:
                 X[i].astype(np.float64), state.gather(block.edges_of(i))
             )
 
+    @pytest.mark.parametrize("kind", ["dense", "bounded"])
+    def test_move_back_restores_recorded_pass(self, instance, kind):
+        """A restream pass then ``move_back`` leaves state and assignment
+        exactly as they were when the pass was recorded."""
+        p = 4
+        if kind == "dense":
+            state = DenseKernelState.empty(instance.num_edges, p)
+        else:
+            state = StreamingState(p, expected_loads=np.ones(p))
+
+        def table():
+            if kind == "dense":
+                return state.edge_counts.copy()
+            return state.export_table()[1]
+
+        assignment = np.full(instance.num_vertices, -1, dtype=np.int64)
+        blocks = list(InMemorySource(instance, block_size=64).blocks())
+        scorer = HyperPRAWScorer(uniform_cost_matrix(p), 5.0, np.ones(p))
+        pass_kernel(blocks, state, scorer, assignment, restream=False)
+        best, counts, loads = assignment.copy(), table(), state.loads.copy()
+        scorer = HyperPRAWScorer(uniform_cost_matrix(p), 0.01, np.ones(p))
+        pass_kernel(blocks, state, scorer, assignment, restream=True)
+        assert not np.array_equal(assignment, best)
+        window = VertexBlock(
+            ids=np.arange(instance.num_vertices, dtype=np.int64),
+            vertex_ptr=instance.vertex_ptr,
+            vertex_edges=instance.vertex_edges,
+            vertex_weights=instance.vertex_weights,
+        )
+        move_back(state, window, assignment, best[window.ids])
+        assert np.array_equal(assignment, best)
+        assert np.array_equal(table(), counts)
+        assert np.allclose(state.loads, loads)
+
     def test_rejects_non_contiguous_counts(self):
         counts = np.zeros((10, 4), dtype=np.int64)[:, ::2]
         with pytest.raises(ValueError, match="contiguous"):
@@ -233,8 +274,10 @@ class TestKernel:
 class TestParallelHelpers:
     def test_run_tasks_sequential_and_forked(self):
         tasks = [lambda k=k: k * k for k in range(4)]
-        assert run_tasks(tasks, 1) == [0, 1, 4, 9]
-        assert run_tasks(tasks, 4) == [0, 1, 4, 9]
+        assert run_tasks(tasks, 1) == ([0, 1, 4, 9], "sequential")
+        forked = "forked" if fork_available() else "sequential"
+        assert run_tasks(tasks, 4) == ([0, 1, 4, 9], forked)
+        assert run_tasks(tasks[:1], 4) == ([0], "sequential")
 
     def test_run_tasks_propagates_worker_failure(self):
         def boom():

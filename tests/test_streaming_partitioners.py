@@ -263,7 +263,7 @@ class TestChunkedHyperPRAW:
         assert np.array_equal(a.assignment, b.assignment)
 
     def test_state_consistency_after_chunked_pass(self, instance):
-        from repro.core.state import StreamState
+        from repro.core.metrics import edge_partition_counts, partition_loads
         from repro.engine import (
             DenseKernelState,
             HyperPRAWScorer,
@@ -272,17 +272,25 @@ class TestChunkedHyperPRAW:
         )
 
         p = 5
-        init = np.arange(instance.num_vertices, dtype=np.int64) % p
-        state = StreamState(instance, p, init)
+        assignment = np.arange(instance.num_vertices, dtype=np.int64) % p
+        state = DenseKernelState(
+            p,
+            edge_partition_counts(instance, assignment, p),
+            partition_loads(instance, assignment, p),
+        )
+        expected = np.full(p, instance.total_vertex_weight() / p)
         pass_kernel(
             InMemorySource(instance, block_size=37).blocks(),
-            DenseKernelState.from_stream_state(state),
-            HyperPRAWScorer(uniform_cost_matrix(p), 1.0, state.expected_loads),
-            state.assignment,
+            state,
+            HyperPRAWScorer(uniform_cost_matrix(p), 1.0, expected),
+            assignment,
             restream=True,
             score_mode="chunk",
         )
-        state.consistency_check()
+        assert np.array_equal(
+            state.edge_counts, edge_partition_counts(instance, assignment, p)
+        )
+        assert np.allclose(state.loads, partition_loads(instance, assignment, p))
 
     def test_shuffled_order_supported(self, instance):
         cfg = HyperPRAWConfig(
@@ -407,6 +415,29 @@ class TestShardedStreamer:
             ).partition_stream(stream, 4)
         assert (r.assignment >= 0).all()
         assert r.metadata["shards"] == 3
+
+    def test_boundary_budget_ending_outside_tolerance_restores_best(self):
+        """Boundary pass 5 is within tolerance and the best; pass 6 leaves
+        tolerance and exhausts the budget.  The rounds must move back to
+        pass 5, exactly what a five-pass budget ends on."""
+        from repro.core.metrics import imbalance
+        from repro.streaming import ShardedStreamer
+
+        hg = load_instance("2cubes_sphere", scale=0.1, seed=1)
+        cfg = HyperPRAWConfig(
+            refinement_factor=0.01, record_history=False, max_iterations=20
+        )
+
+        def run(budget):
+            return ShardedStreamer(
+                BufferedRestreamer(cfg), workers=2, boundary_max_iterations=budget
+            ).partition_stream(HypergraphChunkStream(hg, 64), 8, seed=0)
+
+        six, five = run(6), run(5)
+        assert six.metadata["boundary_iterations"] == 6
+        assert six.metadata["imbalance"] <= cfg.imbalance_tolerance
+        assert imbalance(hg, six.assignment, 8) <= cfg.imbalance_tolerance
+        assert np.array_equal(six.assignment, five.assignment)
 
     def test_rejects_bad_params(self):
         from repro.streaming import ShardedStreamer
