@@ -7,21 +7,15 @@ figures to ``extra_info``; it also asserts the acceptance criterion for
 the FM polish stage: ``hyperpraw+fm`` may never *worsen* the anchor's
 hyperedge cut, and must stay inside the refinement balance cap.
 
-``test_families_baseline_diff`` is the determinism contract for the
-committed ``BENCH_FAMILIES.json`` (written by
-``scripts/run_families_bench.py --bench-out``, docs/performance.md):
-every row's cut and assignment digest must reproduce exactly, wall-time
-drift only warns with 1.5x slack — CI boxes are not benchmark boxes.
-The default subset reruns one instance's table; ``REPRO_BENCH_FULL=1``
-reruns them all.
+``test_families_baseline_diff`` runs the cheap subset of
+``python -m repro.bench.baseline --diff-against BENCH_FAMILIES.json``
+(docs/performance.md): every row's cut and assignment digest must
+reproduce exactly, wall-time drift only warns — CI boxes are not
+benchmark boxes.  The default subset reruns one instance's table;
+``REPRO_BENCH_FULL=1`` reruns them all.
 """
 
-import json
 import os
-import warnings
-from pathlib import Path
-
-import pytest
 
 from repro.bench.families import compare_families
 from repro.hypergraph.suite import STREAMING_INSTANCE, load_instance
@@ -66,66 +60,10 @@ def test_families_comparison(benchmark, bench_ctx):
     print(report.render())
 
 
-def test_families_baseline_diff(benchmark):
+def test_families_baseline_diff(baseline_diff):
     """BENCH_FAMILIES.json must reproduce: digest exactly, wall w/ slack."""
-    baseline_path = Path(__file__).resolve().parents[1] / "BENCH_FAMILIES.json"
-    if not baseline_path.exists():
-        pytest.skip("no committed BENCH_FAMILIES.json baseline")
-    baseline = json.loads(baseline_path.read_text())
-    assert baseline["schema"] == "bench-families"
-    assert baseline["version"] == 1, "bump this check with the schema"
-
-    instances = sorted({r["instance"] for r in baseline["records"]})
-    if not FULL:
-        # Cheap subset: one full table still exercises every family
-        # (anchor, polish, onepass, hype, minmax x2) in a few seconds.
-        instances = instances[:1]
-    by_key = {
-        (r["instance"], r["algorithm"]): r for r in baseline["records"]
-    }
-
-    def rerun():
-        out = []
-        for instance in instances:
-            hg = load_instance(instance, scale=baseline["scale"])
-            report = compare_families(
-                hg,
-                baseline["num_parts"],
-                chunk_size=baseline["chunk_size"],
-                max_iterations=baseline["max_iterations"],
-                refine_passes=baseline["refine_passes"],
-                kernel=baseline["kernel"],
-                seed=baseline["seed"],
-            )
-            for record in report.records:
-                out.append((instance, record))
-        return out
-
-    reruns = benchmark.pedantic(rerun, rounds=1, iterations=1)
-    for instance, record in reruns:
-        rec = by_key.get((instance, record.algorithm))
-        assert rec is not None, (
-            f"{instance}: row {record.algorithm!r} missing from the "
-            f"baseline — regenerate BENCH_FAMILIES.json via "
-            f"scripts/run_families_bench.py --bench-out"
-        )
-        cell = f"{instance} x {record.algorithm}"
-        assert record.assignment_digest == rec["assignment_digest"], (
-            f"{cell}: assignment digest {record.assignment_digest} != "
-            f"committed {rec['assignment_digest']} — the partitioner's "
-            f"output changed; regenerate BENCH_FAMILIES.json via "
-            f"scripts/run_families_bench.py --bench-out if intentional"
-        )
-        assert record.quality.hyperedge_cut == rec["cut"], (
-            f"{cell}: cut {record.quality.hyperedge_cut} != committed "
-            f"{rec['cut']}"
-        )
-        benchmark.extra_info[f"wall_s[{cell}]"] = round(record.wall_time_s, 4)
-        if rec["wall_s"] and record.wall_time_s > 1.5 * rec["wall_s"]:
-            warnings.warn(
-                f"{cell}: local rerun wall {record.wall_time_s:.3f}s "
-                f"exceeds 1.5x the committed baseline {rec['wall_s']:.3f}s "
-                f"— possible performance regression",
-                RuntimeWarning,
-                stacklevel=2,
-            )
+    # Cheap subset: one full table still exercises every family
+    # (anchor, polish, onepass, hype, minmax x2) in a few seconds.
+    baseline_diff(
+        "BENCH_FAMILIES.json", lambda r: r["instance"] == "2cubes_sphere"
+    )

@@ -11,14 +11,14 @@ concurrent client threads.
 (thread pool vs process pool under the same concurrent replay load) and
 asserts the bit-identity contract between the two pools; the speedup is
 reported, not asserted — CI enforces the ratio separately on multi-core
-boxes via ``scripts/run_service_bench.py --assert-speedup``.
+boxes via ``python -m repro.bench.baseline --diff-against
+BENCH_SERVICE.json --assert-speedup 1.3``.
 
-``test_service_baseline_diff`` diffs the committed ``BENCH_SERVICE.json``
-(written by ``scripts/run_service_bench.py --bench-out``,
-docs/performance.md) against a live rerun: parsed store shapes and the
-pool ladder's assignment digests must reproduce exactly, wall-clock and
-rps drift only warn with 1.5x slack — CI boxes are not benchmark boxes.
-The default subset reruns only the pool-ladder instance;
+``test_service_baseline_diff`` runs the cheap subset of that diff
+(docs/performance.md): parsed store shapes and the pool ladder's
+assignment digests must reproduce exactly, and the pools must serve
+identical bytes; latency drift only warns — CI boxes are not benchmark
+boxes.  The default subset reruns only the pool-ladder instance;
 ``REPRO_BENCH_FULL=1`` reruns the whole latency ladder.
 
 Reduced sizes by default (CI smoke finishes in seconds);
@@ -27,10 +27,7 @@ Reduced sizes by default (CI smoke finishes in seconds);
 count (default 4).
 """
 
-import json
 import os
-import warnings
-from pathlib import Path
 
 import pytest
 
@@ -93,8 +90,8 @@ def test_pool_ladder(benchmark):
         benchmark.extra_info["pool_speedup"] = round(ladder.speedup, 2)
     # The pool is an implementation detail: same store, same seed =>
     # the same assignment bytes from every pool.  (The >=1.3x speedup
-    # acceptance runs in CI via run_service_bench.py --assert-speedup,
-    # gated on actual core count.)
+    # acceptance runs in CI via python -m repro.bench.baseline
+    # --assert-speedup, gated on actual core count.)
     assert ladder.digests_match, [
         (r.pool, r.assignment_digest) for r in ladder.runs
     ]
@@ -102,89 +99,13 @@ def test_pool_ladder(benchmark):
     print(ladder.render())
 
 
-def test_service_baseline_diff(benchmark):
+def test_service_baseline_diff(baseline_diff):
     """BENCH_SERVICE.json must reproduce: digests exactly, wall w/ slack."""
-    baseline_path = Path(__file__).resolve().parents[1] / "BENCH_SERVICE.json"
-    if not baseline_path.exists():
-        pytest.skip("no committed BENCH_SERVICE.json baseline")
-    baseline = json.loads(baseline_path.read_text())
-    assert baseline["schema"] == "bench-service"
-    assert baseline["version"] == 1, "bump this check with the schema"
-
-    ladder_instance = baseline["pool_ladder"]["instance"]
-    instances = [r["instance"] for r in baseline["latency"]]
-    if not FULL:
-        # Cheap subset: the pool-ladder instance alone still pins the
-        # cross-pool digest contract and one latency row in seconds.
-        instances = [ladder_instance]
-    base_by_inst = {r["instance"]: r for r in baseline["latency"]}
-    base_runs = {
-        r["pool"]: r for r in baseline["pool_ladder"]["runs"]
-    }
-
-    def rerun():
-        report = compare_service(
-            tuple(instances),
-            scale=baseline["scale"],
-            k=baseline["num_parts"],
-            partitioner=baseline["partitioner"],
-            chunk_size=baseline["chunk_size"],
-            threads=baseline["threads"],
-            requests=baseline["requests"],
-            seed=baseline["seed"],
-        )
-        ladder = compare_pools(
-            ladder_instance,
-            scale=baseline["scale"],
-            k=baseline["num_parts"],
-            partitioner=baseline["partitioner"],
-            chunk_size=baseline["chunk_size"],
-            threads=baseline["threads"],
-            requests=baseline["requests"],
-            seed=baseline["seed"],
-        )
-        return report, ladder
-
-    report, ladder = benchmark.pedantic(rerun, rounds=1, iterations=1)
-    for record in report.records:
-        base = base_by_inst[record.instance]
-        # Determinism: the parsed shape and the upload bytes are a
-        # function of (instance, scale, seed) only.
-        assert record.num_vertices == base["num_vertices"], record.instance
-        assert record.num_edges == base["num_edges"], record.instance
-        assert record.num_pins == base["num_pins"], record.instance
-        assert record.upload_bytes == base["upload_bytes"], record.instance
-        for field, value in (
-            ("store_ingest_s", record.store_ingest_s),
-            ("upload_partition_s", record.upload_partition_s),
-            ("replay_partition_s", record.replay_partition_s),
-        ):
-            benchmark.extra_info[f"{field}[{record.instance}]"] = round(
-                value, 4
-            )
-            if base[field] and value > 1.5 * base[field]:
-                warnings.warn(
-                    f"{record.instance}: {field} {value:.3f}s exceeds 1.5x "
-                    f"the committed baseline {base[field]:.3f}s — possible "
-                    f"performance regression",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-    assert report.throughput.errors == 0
-    assert ladder.digests_match, [
-        (r.pool, r.assignment_digest) for r in ladder.runs
-    ]
-    for run in ladder.runs:
-        assert run.errors == 0, run.pool
-        base = base_runs.get(run.pool)
-        if base is None:
-            continue
-        assert run.assignment_digest == base["assignment_digest"], (
-            f"pool {run.pool}: assignment digest {run.assignment_digest} "
-            f"!= committed {base['assignment_digest']} — the service's "
-            f"output changed; regenerate BENCH_SERVICE.json via "
-            f"scripts/run_service_bench.py --bench-out if intentional"
-        )
-        benchmark.extra_info[f"rps[{run.pool}]"] = round(run.rps, 2)
-    if fork_available() and "process" not in {r.pool for r in ladder.runs}:
+    # Cheap subset: the pool-ladder instance alone still pins the
+    # cross-pool digest contract and one latency row in seconds.
+    _, fresh = baseline_diff(
+        "BENCH_SERVICE.json", lambda r: r["instance"] == "ABACUS_shell_hd"
+    )
+    pools = {r["pool"] for r in fresh["pool_ladder"]["runs"]}
+    if fork_available() and "process" not in pools:
         pytest.fail("fork available but the ladder has no process run")

@@ -30,35 +30,20 @@ shard's contiguous vertex range) shipping only locally detected boundary
 rows must cut the merge payload at least 2x against full-table shipping,
 at identical assignments.
 
-``test_cluster_baseline_diff`` diffs the committed ``BENCH_CLUSTER.json``
-(written by ``scripts/run_experiments.py --bench-out``, docs/cluster.md)
-against a live rerun: the distributed loopback contract makes
-``ShardedStreamer(workers=N)`` bit-identical to the cluster runs that
-produced the baseline, so cut and assignment digest must reproduce
-exactly without opening a socket.  Wall-clock drift only *warns* — CI
-boxes are not benchmark boxes — but determinism drift fails, so the
-committed numbers can never silently go stale.  The default subset keeps
-the check cheap; ``REPRO_BENCH_FULL=1`` reruns every baseline record.
-The same test gates the lean wire: on every clean multi-worker cell
+``test_cluster_baseline_diff`` and ``test_streaming_baseline_diff`` run
+the cheap subset of ``python -m repro.bench.baseline --diff-against`` on
+the committed ``BENCH_CLUSTER.json`` and ``BENCH_STREAMING.json``
+(docs/cluster.md, docs/performance.md): cut and assignment digest must
+reproduce exactly, wall drift only warns.  The cluster rerun goes
+through forked ``ShardedStreamer`` sharding, which the loopback contract
+makes bit-identical to the cluster runs, so no socket is opened.  The
+cluster test also gates the lean wire: on every clean multi-worker cell
 benchmarked under both wire modes, the tailored+compressed v2 frames
 must put >= 2x fewer bytes on the socket than the legacy v1 broadcast.
-
-``test_streaming_baseline_diff`` is the same contract for the committed
-``BENCH_STREAMING.json`` (written by ``scripts/run_streaming_bench.py
---bench-out``, docs/performance.md): every ladder row's cut and
-assignment digest must reproduce exactly, wall drift warns with 1.5x
-slack.  The default subset reruns one instance's ladder;
-``REPRO_BENCH_FULL=1`` reruns them all.
+``REPRO_BENCH_FULL=1`` reruns every baseline row.
 """
 
-import hashlib
-import json
 import os
-import warnings
-from pathlib import Path
-
-import numpy as np
-import pytest
 
 from repro.bench.streaming import (
     compare_replay,
@@ -197,21 +182,17 @@ def test_sharded_boundary_payload(benchmark, bench_ctx):
     print(report.render())
 
 
-def test_cluster_baseline_diff(benchmark):
+def test_cluster_baseline_diff(benchmark, baseline_diff):
     """BENCH_CLUSTER.json must reproduce: digest exactly, wall with slack."""
-    from repro.core.metrics import hyperedge_cut
-    from repro.streaming import (
-        HypergraphChunkStream,
-        OnePassStreamer,
-        ShardedStreamer,
+    # Cheap subset: the boundary-sparse mesh at every worker count plus
+    # the power-law instance sequentially, boundary payload, lean wire.
+    baseline, _ = baseline_diff(
+        "BENCH_CLUSTER.json",
+        lambda r: r["payload"] == "boundary"
+        and r["wire"] == "lean"
+        and r["netem"] == "clean"
+        and (r["instance"] != STREAMING_INSTANCE or r["workers"] == 1),
     )
-
-    baseline_path = Path(__file__).resolve().parents[1] / "BENCH_CLUSTER.json"
-    if not baseline_path.exists():
-        pytest.skip("no committed BENCH_CLUSTER.json baseline")
-    baseline = json.loads(baseline_path.read_text())
-    assert baseline["schema"] == "bench-cluster"
-    assert baseline["version"] == 2, "bump this check with the schema"
 
     # The lean-wire acceptance gate: tailored rows + zlib frames must
     # cut the bytes on the wire at least 2x against the legacy v1
@@ -219,9 +200,9 @@ def test_cluster_baseline_diff(benchmark):
     # benchmarked (the assignments are bit-identical by contract, so
     # this is pure wire savings, not an algorithm change).
     by_cell = {
-        (r["instance"], r["workers"], r["payload"], r.get("wire", "lean")): r
+        (r["instance"], r["workers"], r["payload"], r["wire"]): r
         for r in baseline["records"]
-        if r.get("netem", "clean") == "clean"
+        if r["netem"] == "clean"
     }
     lean_vs_v1 = [
         (key, lean, by_cell[key[:3] + ("v1",)])
@@ -240,130 +221,11 @@ def test_cluster_baseline_diff(benchmark):
             f"must stay >= 2x leaner"
         )
 
-    records = [
-        r
-        for r in baseline["records"]
-        if r["payload"] == "boundary"
-        and r.get("wire", "lean") == "lean"
-        and r.get("netem", "clean") == "clean"
-    ]
-    if not FULL:
-        # Cheap subset: the boundary-sparse mesh at every worker count
-        # plus the power-law instance sequentially — still covers both
-        # instances and the worker dimension in a few seconds.
-        records = [
-            r
-            for r in records
-            if r["instance"] != STREAMING_INSTANCE or r["workers"] == 1
-        ]
-    assert records, "baseline has no boundary-payload records"
 
-    def rerun():
-        out = []
-        for rec in records:
-            hg = load_instance(rec["instance"], scale=baseline["scale"])
-            stream = HypergraphChunkStream(hg, baseline["chunk_size"])
-            result = ShardedStreamer(
-                OnePassStreamer(scorer=baseline["scorer"]),
-                workers=rec["workers"],
-                chunk_size=baseline["chunk_size"],
-                payload=rec["payload"],
-            ).partition_stream(
-                stream, baseline["num_parts"], seed=baseline["seed"]
-            )
-            digest = hashlib.sha256(
-                np.ascontiguousarray(
-                    result.assignment, dtype=np.int64
-                ).tobytes()
-            ).hexdigest()[:16]
-            cut = hyperedge_cut(
-                hg, result.assignment, baseline["num_parts"]
-            )
-            out.append((rec, digest, cut, result.metadata.get("wall_time_s")))
-        return out
-
-    reruns = benchmark.pedantic(rerun, rounds=1, iterations=1)
-    for rec, digest, cut, wall in reruns:
-        cell = f"{rec['instance']} x w{rec['workers']}"
-        assert digest == rec["assignment_digest"], (
-            f"{cell}: assignment digest {digest} != committed "
-            f"{rec['assignment_digest']} — the partitioner's output "
-            f"changed; regenerate BENCH_CLUSTER.json via "
-            f"scripts/run_experiments.py --bench-out if intentional"
-        )
-        assert cut == rec["cut"], f"{cell}: cut {cut} != committed {rec['cut']}"
-        benchmark.extra_info[f"wall_s[{cell}]"] = round(wall, 4) if wall else wall
-        if wall and wall > 1.5 * rec["wall_s"]:
-            warnings.warn(
-                f"{cell}: local rerun wall {wall:.3f}s exceeds 1.5x the "
-                f"committed distributed baseline {rec['wall_s']:.3f}s — "
-                f"possible performance regression",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-
-
-def test_streaming_baseline_diff(benchmark):
+def test_streaming_baseline_diff(baseline_diff):
     """BENCH_STREAMING.json must reproduce: digest exactly, wall w/ slack."""
-    baseline_path = Path(__file__).resolve().parents[1] / "BENCH_STREAMING.json"
-    if not baseline_path.exists():
-        pytest.skip("no committed BENCH_STREAMING.json baseline")
-    baseline = json.loads(baseline_path.read_text())
-    assert baseline["schema"] == "bench-streaming"
-    assert baseline["version"] == 1, "bump this check with the schema"
-
-    instances = sorted({r["instance"] for r in baseline["records"]})
-    if not FULL:
-        # Cheap subset: one full ladder still exercises every contender
-        # (in-memory, chunked, onepass, buffered vertex + chunk-restream)
-        # in a couple of seconds.
-        instances = instances[:1]
-    by_key = {
-        (r["instance"], r["algorithm"]): r for r in baseline["records"]
-    }
-
-    def rerun():
-        out = []
-        for instance in instances:
-            hg = load_instance(instance, scale=baseline["scale"])
-            report = compare_streaming(
-                hg,
-                baseline["num_parts"],
-                chunk_size=baseline["chunk_size"],
-                buffer_fractions=tuple(baseline["buffer_fractions"]),
-                max_iterations=baseline["max_iterations"],
-                kernel=baseline["kernel"],
-                seed=baseline["seed"],
-            )
-            for record in report.records:
-                out.append((instance, record))
-        return out
-
-    reruns = benchmark.pedantic(rerun, rounds=1, iterations=1)
-    for instance, record in reruns:
-        rec = by_key.get((instance, record.algorithm))
-        assert rec is not None, (
-            f"{instance}: ladder row {record.algorithm!r} missing from the "
-            f"baseline — regenerate BENCH_STREAMING.json via "
-            f"scripts/run_streaming_bench.py --bench-out"
-        )
-        cell = f"{instance} x {record.algorithm}"
-        assert record.assignment_digest == rec["assignment_digest"], (
-            f"{cell}: assignment digest {record.assignment_digest} != "
-            f"committed {rec['assignment_digest']} — the partitioner's "
-            f"output changed; regenerate BENCH_STREAMING.json via "
-            f"scripts/run_streaming_bench.py --bench-out if intentional"
-        )
-        assert record.quality.hyperedge_cut == rec["cut"], (
-            f"{cell}: cut {record.quality.hyperedge_cut} != committed "
-            f"{rec['cut']}"
-        )
-        benchmark.extra_info[f"wall_s[{cell}]"] = round(record.wall_time_s, 4)
-        if rec["wall_s"] and record.wall_time_s > 1.5 * rec["wall_s"]:
-            warnings.warn(
-                f"{cell}: local rerun wall {record.wall_time_s:.3f}s "
-                f"exceeds 1.5x the committed baseline {rec['wall_s']:.3f}s "
-                f"— possible performance regression",
-                RuntimeWarning,
-                stacklevel=2,
-            )
+    # Cheap subset: one full ladder still exercises every contender
+    # (in-memory, chunked, onepass, buffered vertex + chunk-restream).
+    baseline_diff(
+        "BENCH_STREAMING.json", lambda r: r["instance"] == "2cubes_sphere"
+    )

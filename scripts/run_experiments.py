@@ -18,8 +18,9 @@ Typical invocations::
     python scripts/run_experiments.py --workers 3 --loopback \
         --payloads boundary full --bench-out BENCH_CLUSTER.json
 
-    # verify a rerun reproduces the committed numbers (same seeds ->
-    # same cut; wall-time drift only warns)
+    # verify a rerun reproduces the committed numbers: the cells rerun
+    # at the baseline header's seed/scale/num_parts/chunk_size/scorer
+    # (repro.bench.baseline owns the diff and the merge-write)
     python scripts/run_experiments.py --workers 3 --loopback \
         --payloads boundary full --diff-against BENCH_CLUSTER.json
 
@@ -39,7 +40,6 @@ harness.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import signal
@@ -47,7 +47,6 @@ import socket
 import subprocess
 import sys
 import time
-import warnings
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parents[1]
@@ -61,6 +60,8 @@ if str(TESTS) not in sys.path:
 import numpy as np  # noqa: E402
 
 from netsim import NETEM_PROFILES, FaultyProxy, netem_profile  # noqa: E402
+from repro.bench.baseline import CLUSTER, contents, diff, write  # noqa: E402
+from repro.bench.streaming import assignment_digest  # noqa: E402
 from repro.cluster import DistributedStreamer  # noqa: E402
 from repro.cluster.protocol import load_psk  # noqa: E402
 from repro.core.metrics import hyperedge_cut, imbalance  # noqa: E402
@@ -71,11 +72,6 @@ from repro.streaming import (  # noqa: E402
     ShardedStreamer,
 )
 from repro.utils.rng import derive_seed  # noqa: E402
-
-#: Schema version of BENCH_CLUSTER.json; bump on layout changes.
-#: v2 added the ``wire`` (lean vs v1 legacy broadcast) and ``netem``
-#: (netsim degradation profile) matrix dimensions to every record.
-BENCH_SCHEMA_VERSION = 2
 
 #: wire modes: what the coordinator puts on the socket per cell.
 #: ``lean`` = tailored boundary rows + zlib frames (the v2 default);
@@ -198,8 +194,8 @@ def parse_args(argv=None):
         "--diff-against",
         default=None,
         metavar="PATH",
-        help="compare against a committed baseline: cut/digest mismatch "
-        "fails, wall-time regression only warns",
+        help="rerun the matrix at this baseline's header settings and "
+        "compare: cut/digest mismatch fails, wall-time drift only warns",
     )
     parser.add_argument(
         "--outdir",
@@ -308,12 +304,6 @@ class WorkerFleet:
                 proc.wait()
 
 
-def _digest(assignment: np.ndarray) -> str:
-    return hashlib.sha256(
-        np.ascontiguousarray(assignment, dtype=np.int64).tobytes()
-    ).hexdigest()[:16]
-
-
 def _run_cell(args, endpoints, instance: str, payload: str, wire: str,
               netem: str, psk) -> dict:
     """One matrix cell: distributed run (+ optional golden twin)."""
@@ -376,7 +366,7 @@ def _run_cell(args, endpoints, instance: str, payload: str, wire: str,
         "broadcast_bytes_saved": int(sum(saved)) if saved else 0,
         "parallel_mode": md.get("parallel_mode"),
         "degraded_shards": md.get("degraded_shards"),
-        "assignment_digest": _digest(result.assignment),
+        "assignment_digest": assignment_digest(result.assignment),
     }
     if args.check_golden:
         golden_stream = HypergraphChunkStream(hg, args.chunk_size)
@@ -388,111 +378,26 @@ def _run_cell(args, endpoints, instance: str, payload: str, wire: str,
         record["golden_match"] = bool(
             np.array_equal(result.assignment, golden.assignment)
         )
-        record["golden_digest"] = _digest(golden.assignment)
+        record["golden_digest"] = assignment_digest(golden.assignment)
     return record
 
 
-def _bench_payload(args, records) -> dict:
-    return {
-        "schema": "bench-cluster",
-        "version": BENCH_SCHEMA_VERSION,
-        "seed": args.seed,
-        "scale": args.scale,
-        "num_parts": args.num_parts,
-        "chunk_size": args.chunk_size,
-        "scorer": args.scorer,
-        "records": [
-            {
-                k: r[k]
-                for k in (
-                    "instance", "workers", "payload", "wire", "netem",
-                    "wall_s", "cut", "imbalance", "wire_bytes",
-                    "broadcast_bytes_saved", "assignment_digest",
-                )
-            }
-            for r in records
-        ],
-    }
-
-
-def _cell_key(r: dict):
-    """Identity of a benchmark cell across the full matrix."""
-    return (
-        r["instance"],
-        r["workers"],
-        r["payload"],
-        r.get("wire", "lean"),
-        r.get("netem", "clean"),
-    )
-
-
-def _write_bench(path: Path, args, records) -> None:
-    """Write (or merge into) the committed benchmark baseline.
-
-    If ``path`` already holds a same-version baseline, records for the
-    cells just run replace their old rows and every other row is kept —
-    so the netem rows and the clean matrix can be regenerated by
-    separate invocations of this script into one file.
-    """
-    payload = _bench_payload(args, records)
-    if path.exists():
-        try:
-            old = json.loads(path.read_text())
-        except ValueError:
-            old = {}
-        if (
-            old.get("schema") == "bench-cluster"
-            and old.get("version") == BENCH_SCHEMA_VERSION
-        ):
-            fresh = {_cell_key(r) for r in payload["records"]}
-            payload["records"] = [
-                r for r in old["records"] if _cell_key(r) not in fresh
-            ] + payload["records"]
-            payload["records"].sort(key=_cell_key)
-    path.write_text(json.dumps(payload, indent=2) + "\n")
-
-
-def _diff_against(path: Path, args, records) -> list:
-    """Compare a rerun against the committed baseline.
-
-    Determinism (cut + assignment digest) is a hard failure; wall-time
-    regressions only warn — CI boxes are not benchmark boxes.
-    """
-    baseline = json.loads(path.read_text())
-    if baseline.get("schema") != "bench-cluster":
-        raise SystemExit(f"{path} is not a bench-cluster baseline")
-    if baseline.get("version") != BENCH_SCHEMA_VERSION:
-        warnings.warn(
-            f"baseline schema v{baseline.get('version')} != "
-            f"v{BENCH_SCHEMA_VERSION}; skipping diff",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        return []
-    base_by_key = {_cell_key(r): r for r in baseline["records"]}
-    failures = []
-    for record in records:
-        base = base_by_key.get(_cell_key(record))
-        if base is None:
-            continue
-        for field in ("cut", "assignment_digest"):
-            if record[field] != base[field]:
-                failures.append(
-                    f"{_cell_key(record)}: {field} {record[field]!r} != "
-                    f"baseline {base[field]!r}"
-                )
-        if base["wall_s"] and record["wall_s"] > 1.5 * base["wall_s"]:
-            warnings.warn(
-                f"{_cell_key(record)}: wall {record['wall_s']:.3f}s > 1.5x "
-                f"baseline {base['wall_s']:.3f}s",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-    return failures
+#: The fields of a summary record that BENCH_CLUSTER.json keeps.
+BENCH_FIELDS = (
+    "instance", "workers", "payload", "wire", "netem", "wall_s", "cut",
+    "imbalance", "wire_bytes", "broadcast_bytes_saved", "assignment_digest",
+)
 
 
 def main(argv=None) -> int:
     args = parse_args(argv)
+    baseline = None
+    if args.diff_against:
+        # The diff must rerun the baseline's own settings, not the CLI
+        # defaults, or every knob left at its default reads as a drift.
+        baseline = json.loads(Path(args.diff_against).read_text())
+        for field in CLUSTER.header:
+            setattr(args, field, baseline[field])
     run_dir = Path(args.outdir) / (
         f"w{args.workers}_seed{args.seed}_{args.scorer}"
     )
@@ -521,7 +426,7 @@ def main(argv=None) -> int:
             f"--workers-matrix must be within 1..{len(endpoints)}, got {counts}"
         )
     psk = load_psk(args.psk_file) if args.psk_file else None
-    records, status, failures = [], "ok", []
+    records, status, failures, drift = [], "ok", [], []
     cells = [
         (instance, nworkers, payload, wire, netem)
         for instance in args.instances
@@ -561,8 +466,10 @@ def main(argv=None) -> int:
                     f"{record['degraded_shards']} degraded to local "
                     f"— not a clean distributed measurement"
                 )
-        if args.diff_against:
-            failures.extend(_diff_against(Path(args.diff_against), args, records))
+        bench = {"records": [{f: r[f] for f in BENCH_FIELDS} for r in records]}
+        if baseline is not None:
+            drift = diff(CLUSTER, baseline, bench)
+            failures.extend(drift)
     except Exception as exc:  # noqa: BLE001 — recorded in summary.json
         status = "error"
         failures.append(f"{type(exc).__name__}: {exc}")
@@ -581,11 +488,20 @@ def main(argv=None) -> int:
             fleet.shutdown()
         print(f"artifacts: {run_dir}")
 
-    if args.bench_out and not failures:
-        _write_bench(Path(args.bench_out), args, records)
-        print(f"baseline written: {args.bench_out}")
+    if args.bench_out:
+        settings = {field: getattr(args, field) for field in CLUSTER.header}
+        refused = write(
+            args.bench_out, CLUSTER, contents(CLUSTER, settings, bench), failures
+        )
+        if refused:
+            failures.append(refused)
+        else:
+            print(f"baseline written: {args.bench_out}")
     for failure in failures:
         print(f"FAIL: {failure}", file=sys.stderr)
+    if drift:
+        print(f"regenerate deliberately with: {CLUSTER.regenerate}",
+              file=sys.stderr)
     return 1 if failures else 0
 
 

@@ -22,14 +22,13 @@ Contenders:
 * ``minmax-buffered`` — its similarity-ordered buffered variant.
 
 Every row carries a sha256 digest of the assignment: the committed
-``BENCH_FAMILIES.json`` (written by ``scripts/run_families_bench.py``)
-doubles as a determinism contract, diffed in CI by
-``benchmarks/bench_families.py``.
+``BENCH_FAMILIES.json`` (recorded and diffed by
+``python -m repro.bench.baseline``) doubles as a determinism contract,
+and its cheap subset runs in CI from ``benchmarks/bench_families.py``.
 """
 
 from __future__ import annotations
 
-import hashlib
 import os
 import tempfile
 import time
@@ -40,6 +39,7 @@ import numpy as np
 from repro.architecture.cost import uniform_cost_matrix
 from repro.core.config import HyperPRAWConfig
 from repro.core.hyperpraw import HyperPRAW
+from repro.bench.streaming import assignment_digest
 from repro.core.metrics import PartitionQuality, evaluate_partition
 from repro.hypergraph.io import write_hmetis
 from repro.hypergraph.model import Hypergraph
@@ -154,9 +154,7 @@ def compare_families(
         quality = evaluate_partition(
             hg, assignment, num_parts, C, algorithm=algorithm
         )
-        digest = hashlib.sha256(
-            np.ascontiguousarray(assignment, dtype=np.int64).tobytes()
-        ).hexdigest()[:16]
+        digest = assignment_digest(assignment)
         stats = stats or {}
         records.append(
             FamilyRecord(

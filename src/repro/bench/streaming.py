@@ -71,7 +71,15 @@ __all__ = [
     "ReplayRecord",
     "ReplayReport",
     "compare_replay",
+    "assignment_digest",
 ]
+
+
+def assignment_digest(assignment: np.ndarray) -> str:
+    """First 16 hex digits of the sha256 of the int64 assignment bytes."""
+    return hashlib.sha256(
+        np.ascontiguousarray(assignment, dtype=np.int64).tobytes()
+    ).hexdigest()[:16]
 
 
 @dataclass(frozen=True)
@@ -191,9 +199,7 @@ def compare_streaming(
         quality = evaluate_partition(
             hg, result.assignment, num_parts, C, algorithm=algorithm
         )
-        digest = hashlib.sha256(
-            np.ascontiguousarray(result.assignment, dtype=np.int64).tobytes()
-        ).hexdigest()[:16]
+        digest = assignment_digest(result.assignment)
         records.append(
             StreamingRecord(
                 algorithm=algorithm,

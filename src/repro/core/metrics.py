@@ -34,10 +34,13 @@ __all__ = [
     "partition_loads",
     "imbalance",
     "hyperedge_cut",
+    "cut_edges",
+    "cut_from_counts",
     "soed",
     "connectivity_minus_one",
     "vertex_neighbour_counts",
     "partitioning_comm_cost",
+    "table_comm_cost",
     "PartitionQuality",
     "evaluate_partition",
 ]
@@ -101,6 +104,21 @@ def _lambdas(counts: np.ndarray) -> np.ndarray:
     return (counts > 0).sum(axis=1)
 
 
+def cut_edges(counts: np.ndarray) -> np.ndarray:
+    """Mask of the hyperedges whose count rows span more than one partition."""
+    return _lambdas(counts) > 1
+
+
+def cut_from_counts(
+    counts: np.ndarray, edge_weights: "np.ndarray | None" = None
+) -> float:
+    """(Weighted) hyperedge cut straight from ``(E x p)`` count rows."""
+    cut = cut_edges(counts)
+    if edge_weights is None:
+        return float(cut.sum())
+    return float(edge_weights[cut].sum())
+
+
 def hyperedge_cut(
     hg: Hypergraph,
     assignment: np.ndarray,
@@ -112,10 +130,7 @@ def hyperedge_cut(
     """Weight of hyperedges spanning more than one partition (Fig. 4A)."""
     if counts is None:
         counts = edge_partition_counts(hg, assignment, num_parts)
-    cut_mask = _lambdas(counts) > 1
-    if use_edge_weights:
-        return float(hg.edge_weights[cut_mask].sum())
-    return float(cut_mask.sum())
+    return cut_from_counts(counts, hg.edge_weights if use_edge_weights else None)
 
 
 def soed(
@@ -231,6 +246,28 @@ def partitioning_comm_cost(
         use_edge_weights=use_edge_weights,
     )
     return float(np.einsum("vp,vp->", X, cost_matrix[assignment]))
+
+
+def table_comm_cost(
+    counts: np.ndarray,
+    cost_matrix: np.ndarray,
+    edges: np.ndarray,
+    edge_weights: "np.ndarray | None" = None,
+) -> float:
+    """``sum_e w_e c_e^T C c_e`` over presence-table rows.
+
+    ``counts[i]`` holds the per-partition pin counts of hyperedge
+    ``edges[i]``; ``edge_weights`` (indexed by edge id) scales each row.
+    This is the streaming states' and the sharded driver's PC-cost
+    figure: exact when the rows cover every net.
+    """
+    if counts.shape[0] == 0:
+        return 0.0
+    c = counts.astype(np.float64)
+    per_edge = np.einsum("ep,pq,eq->e", c, cost_matrix, c)
+    if edge_weights is not None:
+        per_edge = per_edge * edge_weights[edges]
+    return float(per_edge.sum())
 
 
 @dataclass(frozen=True)

@@ -47,6 +47,7 @@ from typing import Callable
 import numpy as np
 
 from repro.core.base import Partitioner
+from repro.core.metrics import cut_edges, cut_from_counts
 from repro.core.result import PartitionResult
 from repro.engine import (
     DenseKernelState,
@@ -831,14 +832,6 @@ class RefineConfig:
             raise ValueError(f"min_gain must be >= 0, got {self.min_gain}")
 
 
-def _weighted_cut(counts: np.ndarray, edge_weights) -> float:
-    """Weighted hyperedge cut from the dense per-edge count rows."""
-    cut = (counts > 0).sum(axis=1) >= 2
-    if edge_weights is None:
-        return float(cut.sum())
-    return float(edge_weights[cut].sum())
-
-
 def _propose_moves(blocks, counts, assignment, edge_weights, cut_flags, min_gain):
     """Scan a shard of blocks against frozen counts; return candidates.
 
@@ -947,7 +940,7 @@ def refine_blocks(
         )
     total = float(loads.sum())
     cap = refine.balance_slack * total / num_parts
-    cut_before = _weighted_cut(counts, edge_weights)
+    cut_before = cut_from_counts(counts, edge_weights)
 
     block_pins = [b.num_pins for b in blocks]
     ranges = (
@@ -958,7 +951,7 @@ def refine_blocks(
     passes_run = 0
     for _ in range(refine.passes):
         passes_run += 1
-        cut_flags = (counts > 0).sum(axis=1) >= 2
+        cut_flags = cut_edges(counts)
         tasks = [
             (
                 lambda lo=lo, hi=hi: _propose_moves(
@@ -985,7 +978,7 @@ def refine_blocks(
         "refine_passes": passes_run,
         "refine_moves": total_moves,
         "refine_cut_before": cut_before,
-        "refine_cut_after": _weighted_cut(counts, edge_weights),
+        "refine_cut_after": cut_from_counts(counts, edge_weights),
         "refine_seconds": time.perf_counter() - t_start,
         "refine_workers": refine.workers,
         "refine_parallel_mode": parallel_mode,

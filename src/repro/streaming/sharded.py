@@ -91,6 +91,7 @@ from repro.engine import (
     shard_ranges,
     shard_ranges_by_pins,
 )
+from repro.core.metrics import table_comm_cost
 from repro.core.result import PartitionResult
 from repro.hypergraph.model import Hypergraph
 from repro.streaming.reader import (
@@ -98,7 +99,7 @@ from repro.streaming.reader import (
     ChunkStream,
     HypergraphChunkStream,
 )
-from repro.streaming.state import StreamingState, resolve_cost_matrix
+from repro.streaming.state import resolve_cost_matrix
 from repro.utils.rng import seed_sequence, spawn_generators
 
 __all__ = ["ShardedStreamer", "shard_stream_task"]
@@ -119,22 +120,6 @@ def _boundary_scorer(
     return HyperPRAWScorer(
         C, alpha, expected_loads, profile["presence_threshold"]
     )
-
-
-def _table_cost(
-    counts: np.ndarray,
-    cost_matrix: np.ndarray,
-    edges: np.ndarray,
-    edge_weights: "np.ndarray | None",
-) -> float:
-    """``sum_e w_e c_e^T C c_e`` over explicit table rows (driver side)."""
-    if counts.shape[0] == 0:
-        return 0.0
-    c = counts.astype(np.float64)
-    per_edge = np.einsum("ep,pq,eq->e", c, cost_matrix, c)
-    if edge_weights is not None:
-        per_edge = per_edge * edge_weights[edges]
-    return float(per_edge.sum())
 
 
 class ShardedStreamer(Partitioner):
@@ -498,7 +483,7 @@ class ShardedStreamer(Partitioner):
                     return imb
 
                 def cost() -> float:
-                    return _table_cost(
+                    return table_comm_cost(
                         bound_counts, C, boundary, edge_w
                     ) + sum(reply["interior_cost"] for reply in replies)
 
@@ -550,7 +535,7 @@ class ShardedStreamer(Partitioner):
             np.maximum(bound_counts, 0, out=bound_counts)
 
         monitored_cost = (
-            _table_cost(bound_counts, C, boundary, stream.edge_weights)
+            table_comm_cost(bound_counts, C, boundary, stream.edge_weights)
             + interior_cost
         )
         imbalance = float(global_loads.max() / (global_loads.sum() / p))

@@ -36,6 +36,7 @@ from repro.architecture.cost import (
     uniform_cost_matrix,
     validate_cost_matrix,
 )
+from repro.core.metrics import table_comm_cost
 
 __all__ = ["StreamingState", "resolve_cost_matrix"]
 
@@ -300,17 +301,11 @@ class StreamingState:
         workers report only their *interior* contribution.
         """
         n = len(self._slots)
-        if n == 0:
-            return 0.0
         edges = np.fromiter(self._slots.keys(), dtype=np.int64, count=n)
         slots = np.fromiter(self._slots.values(), dtype=np.int64, count=n)
         if exclude_edges is not None and exclude_edges.size:
             keep = ~np.isin(edges, exclude_edges)
             edges, slots = edges[keep], slots[keep]
-            if edges.size == 0:
-                return 0.0
-        counts = self._table[slots].astype(np.float64)
-        per_edge = np.einsum("ep,pq,eq->e", counts, cost_matrix, counts)
-        if edge_weights is not None:
-            per_edge = per_edge * edge_weights[edges]
-        return float(per_edge.sum())
+        return table_comm_cost(
+            self._table[slots], cost_matrix, edges, edge_weights
+        )
