@@ -63,7 +63,8 @@ def test_families_comparison(benchmark, bench_ctx):
 def test_families_baseline_diff(baseline_diff):
     """BENCH_FAMILIES.json must reproduce: digest exactly, wall w/ slack."""
     # Cheap subset: one full table still exercises every family
-    # (anchor, polish, onepass, hype, minmax x2) in a few seconds.
+    # (anchor, polish, onepass, hype, minmax x2, hype and minmax on two
+    # workers) in a few seconds.
     baseline_diff(
         "BENCH_FAMILIES.json", lambda r: r["instance"] == "2cubes_sphere"
     )

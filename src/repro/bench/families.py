@@ -19,7 +19,9 @@ Contenders:
 * ``hype`` — HYPE-style neighbourhood expansion (in-memory by nature;
   its resident pins are the full pin count);
 * ``minmax`` — limited-memory min-max streaming, same file stream;
-* ``minmax-buffered`` — its similarity-ordered buffered variant.
+* ``minmax-buffered`` — its similarity-ordered buffered variant;
+* ``hype-w2`` and ``minmax-w2`` — HYPE and min-max sharded over two
+  workers, so the baseline pins each family's phase-1 sharding too.
 
 Every row carries a sha256 digest of the assignment: the committed
 ``BENCH_FAMILIES.json`` (recorded and diffed by
@@ -263,6 +265,19 @@ def compare_families(
                 kernel=kernel,
             ),
         )
+        for label, family in (
+            ("hype-w2", NeighborhoodExpansion),
+            ("minmax-w2", MinMaxStreamer),
+        ):
+            streamed(
+                label,
+                lambda family=family: family(
+                    chunk_size=chunk_size,
+                    max_tracked_edges=max_tracked_edges,
+                    kernel=kernel,
+                    workers=2,
+                ),
+            )
 
     return FamilyReport(
         instance=hg.name,

@@ -114,12 +114,13 @@ class HyperPRAWConfig:
     kernel: str = "auto"
 
     def __post_init__(self):
+        from repro.engine.kernel import check_knobs
+
         if self.chunk_size is not None and self.chunk_size < 1:
             raise ValueError(
                 f"chunk_size must be >= 1 or None, got {self.chunk_size}"
             )
-        if self.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {self.workers}")
+        check_knobs(kernel=self.kernel, workers=self.workers)
         if self.shard_payload not in ("boundary", "full"):
             raise ValueError(
                 "shard_payload must be 'boundary' or 'full', "
@@ -128,10 +129,6 @@ class HyperPRAWConfig:
         if self.shard_by not in ("pins", "chunks"):
             raise ValueError(
                 f"shard_by must be 'pins' or 'chunks', got {self.shard_by!r}"
-            )
-        if self.kernel not in ("auto", "python", "njit"):
-            raise ValueError(
-                f"kernel must be 'auto', 'python' or 'njit', got {self.kernel!r}"
             )
         if self.imbalance_tolerance < 1.0:
             raise ValueError(

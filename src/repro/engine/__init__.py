@@ -29,8 +29,9 @@ parallel sharded streamer — is a thin driver around one loop:
 * :mod:`~repro.engine.scorers` — the pluggable value functions;
 * :mod:`~repro.engine.states` — the dense kernel state (the bounded one
   is :class:`repro.streaming.state.StreamingState`);
-* :mod:`~repro.engine.parallel` — forked-worker fan-out and the
-  presence-table merge behind parallel sharded streaming.
+* :mod:`~repro.engine.parallel` — forked-worker fan-out, the phase-1
+  shard stitch every sharded family shares, and the presence-table
+  merge behind parallel sharded streaming.
 """
 
 from repro.engine.blocks import (
@@ -46,7 +47,12 @@ from repro.engine.blocks import (
     shard_ranges,
     shard_ranges_by_pins,
 )
-from repro.engine.kernel import apply_balance_cap, move_back, pass_kernel
+from repro.engine.kernel import (
+    apply_balance_cap,
+    check_knobs,
+    move_back,
+    pass_kernel,
+)
 from repro.engine.njit_kernel import (
     KERNEL_CHOICES,
     NUMBA_AVAILABLE,
@@ -54,10 +60,14 @@ from repro.engine.njit_kernel import (
     resolve_kernel,
 )
 from repro.engine.parallel import (
+    ShardPlacement,
     ShardRounds,
     fork_available,
     merge_shard_tables,
+    run_shards,
     run_tasks,
+    shard_bounds,
+    stitch_shards,
 )
 from repro.engine.scorers import (
     FennelScorer,
@@ -80,6 +90,7 @@ __all__ = [
     "shard_ranges",
     "shard_ranges_by_pins",
     "pass_kernel",
+    "check_knobs",
     "apply_balance_cap",
     "move_back",
     "KERNEL_CHOICES",
@@ -93,6 +104,10 @@ __all__ = [
     "DenseKernelState",
     "fork_available",
     "run_tasks",
+    "ShardPlacement",
+    "stitch_shards",
+    "run_shards",
+    "shard_bounds",
     "merge_shard_tables",
     "ShardRounds",
 ]

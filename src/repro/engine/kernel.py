@@ -4,8 +4,8 @@ Algorithm 1's body — visit each vertex, score every partition, (re)place
 the vertex at the argmax — used to be implemented four separate times
 (``HyperPRAW._stream_pass``/``_stream_pass_chunked``,
 ``BufferedRestreamer._window_pass``, ``OnePassStreamer._place_*`` and
-``FennelStreaming``'s inline loop).  :func:`pass_kernel` is the single
-remaining implementation; the variation lives in its inputs:
+the former ``FennelStreaming``'s inline loop).  :func:`pass_kernel` is
+the single remaining implementation; the variation lives in its inputs:
 
 * **blocks** — any iterable of :class:`~repro.engine.blocks.VertexBlock`
   (in-memory order, out-of-core chunks, a restream window, a shard);
@@ -42,7 +42,26 @@ import numpy as np
 
 from repro.engine.njit_kernel import resolve_kernel, run_njit_block
 
-__all__ = ["pass_kernel", "apply_balance_cap", "move_back"]
+__all__ = ["pass_kernel", "check_knobs", "apply_balance_cap", "move_back"]
+
+
+def check_knobs(
+    *, chunk_size: int = 1, score_mode: str = "vertex", kernel: str = "auto",
+    workers: int = 1,
+) -> None:
+    """Reject bad values of the knobs the pass drivers share."""
+    if chunk_size < 1:
+        raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
+    if score_mode not in ("vertex", "chunk"):
+        raise ValueError(
+            f"score_mode must be 'vertex' or 'chunk', got {score_mode!r}"
+        )
+    if kernel not in ("auto", "python", "njit"):
+        raise ValueError(
+            f"kernel must be 'auto', 'python' or 'njit', got {kernel!r}"
+        )
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
 
 
 def apply_balance_cap(
@@ -137,10 +156,7 @@ def pass_kernel(
         metadata; the pass's effects are the in-place updates to
         ``state`` and ``assignment``.
     """
-    if score_mode not in ("vertex", "chunk"):
-        raise ValueError(
-            f"score_mode must be 'vertex' or 'chunk', got {score_mode!r}"
-        )
+    check_knobs(score_mode=score_mode)
     mode = resolve_kernel(kernel, state, scorer, score_mode)
     loads = state.loads
     p = state.num_parts

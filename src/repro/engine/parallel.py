@@ -13,6 +13,9 @@ per range.  This module owns the process plumbing:
   crosses a pipe.  Where fork is unavailable (non-POSIX platforms) the
   tasks run sequentially: same shard structure, same merge, same
   results, no parallelism.
+* :func:`stitch_shards` — the one phase-1 stitch every family shares:
+  disjoint :class:`ShardPlacement` results become one assignment, summed
+  loads and one metadata block (:func:`run_shards` forks, then stitches).
 * :func:`merge_shard_tables` — reconcile per-shard presence tables into
   one summed table plus the set of *boundary* hyperedges (nets touched
   by two or more shards — exactly the pins a shard could not see while
@@ -40,12 +43,17 @@ from __future__ import annotations
 
 import multiprocessing as mp
 import warnings
+from typing import NamedTuple
 
 import numpy as np
 
 __all__ = [
     "fork_available",
     "run_tasks",
+    "ShardPlacement",
+    "stitch_shards",
+    "run_shards",
+    "shard_bounds",
     "merge_shard_tables",
     "ForkedCall",
     "ShardRounds",
@@ -131,6 +139,84 @@ def run_tasks(tasks, workers: int) -> "tuple[list, str]":
     if errors:
         raise RuntimeError(f"sharded streaming worker failed: {errors[0]}")
     return results, "forked"
+
+
+class ShardPlacement(NamedTuple):
+    """One shard's placed vertex ids (array or slice), their parts, its
+    loads, and its pass counters (``None`` where its state keeps none)."""
+
+    ids: "np.ndarray | slice"
+    parts: np.ndarray
+    loads: np.ndarray
+    kernel_mode: "str | None" = None
+    pass_seconds: float = 0.0
+    peak_tracked_edges: "int | None" = None
+    evictions: "int | None" = None
+
+    @classmethod
+    def from_state(cls, ids, parts, state, stats: dict) -> "ShardPlacement":
+        """The placement a kernel state and its pass ``stats`` end with."""
+        return cls(
+            ids, parts, state.loads.copy(), stats["kernel_mode"],
+            stats["pass_seconds"], getattr(state, "peak_tracked_edges", None),
+            getattr(state, "evictions", None),
+        )
+
+
+def stitch_shards(
+    shards: "list[ShardPlacement]", num_vertices: int, num_parts: int, *,
+    workers: int = 1, parallel_mode: str = "sequential", loads=None,
+) -> "tuple[np.ndarray, np.ndarray, dict]":
+    """Stitch disjoint placements into ``(assignment, loads, metadata)``.
+
+    Loads sum in shard order onto ``loads`` (in place) if given, else
+    onto zeros.  ``metadata`` is the block every family reports:
+    ``pass_seconds`` and ``evictions`` sum over shards (pass time
+    overlaps under fork: a utilisation meter, not a latency).  The
+    defaults describe a one-shard in-process run.
+    """
+    assignment = np.full(num_vertices, -1, dtype=np.int64)
+    if loads is None:
+        loads = np.zeros(num_parts, dtype=np.float64)
+    for shard in shards:
+        assignment[shard.ids] = shard.parts
+        loads += shard.loads
+    peaks = [s.peak_tracked_edges for s in shards]
+    evictions = [s.evictions for s in shards]
+    mean = loads.sum() / num_parts
+    return assignment, loads, {
+        "workers": workers,
+        "shards": len(shards),
+        "parallel_mode": parallel_mode,
+        "kernel_mode": shards[0].kernel_mode,
+        "pass_seconds": sum(s.pass_seconds for s in shards),
+        "peak_tracked_edges": None if None in peaks else max(peaks),
+        "evictions": None if None in evictions else int(sum(evictions)),
+        "imbalance": float(loads.max() / mean) if mean else 1.0,
+    }
+
+
+def run_shards(tasks, workers: int, num_vertices: int, num_parts: int):
+    """:func:`run_tasks` over one task per shard, then :func:`stitch_shards`.
+
+    Each task returns ``(placement, extra)``; ``extra`` is what its family
+    reduces itself.  Returns ``(assignment, metadata, extras)``."""
+    results, mode = run_tasks(tasks, workers)
+    assignment, _, metadata = stitch_shards(
+        [placement for placement, _ in results], num_vertices, num_parts,
+        workers=workers, parallel_mode=mode,
+    )
+    return assignment, metadata, [extra for _, extra in results]
+
+
+def shard_bounds(stream, ranges: "list[tuple[int, int]]"):
+    """``(vertex_bounds, shard_weights)`` of contiguous chunk ranges."""
+    bounds = [
+        (stream.chunk_bounds(lo)[0], stream.chunk_bounds(hi - 1)[1])
+        for lo, hi in ranges
+    ]
+    weights = stream.vertex_weights
+    return bounds, [float(weights[a:b].sum()) for a, b in bounds]
 
 
 def _call_child(fn, conn) -> None:

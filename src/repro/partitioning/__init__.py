@@ -1,15 +1,13 @@
 """Baseline partitioners.
 
 The paper benchmarks HyperPRAW against Zoltan's multilevel recursive
-bisection; we re-implement that family from scratch plus two cheaper
+bisection; we re-implement that family from scratch plus cheaper
 baselines used in tests and ablations:
 
 * :class:`~repro.partitioning.multilevel.MultilevelRB` — multilevel
   recursive bisection: heavy-connectivity coarsening, greedy hypergraph
   growing initial bisection, Fiduccia–Mattheyses boundary refinement at
   every level (the Zoltan/PaToH/hMetis algorithm family).
-* :class:`~repro.partitioning.fennel.FennelStreaming` — single-pass
-  FENNEL-style streaming baseline generalised to hypergraphs.
 * :mod:`~repro.partitioning.simple` — random, round-robin and contiguous-
   chunk assignments (controls and worst/best-case references).
 
@@ -19,7 +17,9 @@ The out-of-core streamers of :mod:`repro.streaming` —
 here: they implement the same ``partition(hg, ...)`` interface (streaming
 the hypergraph to themselves chunk by chunk) and belong in the same
 roster for experiments, even though their native entry point is
-``partition_stream`` over a disk-backed chunk stream.  So is
+``partition_stream`` over a disk-backed chunk stream.  The single-pass
+FENNEL baseline generalised to hypergraphs is
+``OnePassStreamer(scorer="fennel", alpha="fennel")``.  So is
 :class:`~repro.cluster.coordinator.DistributedStreamer`, the multi-node
 variant that drives the same sharded protocol over TCP workers
 (docs/cluster.md).
@@ -35,7 +35,6 @@ registry the service, CLI and invariant tests all introspect.
 """
 
 from repro.partitioning.multilevel import MultilevelRB
-from repro.partitioning.fennel import FennelStreaming
 from repro.partitioning.simple import (
     RandomPartitioner,
     RoundRobinPartitioner,
@@ -58,7 +57,6 @@ from repro.partitioning.families import (
 
 __all__ = [
     "MultilevelRB",
-    "FennelStreaming",
     "RandomPartitioner",
     "RoundRobinPartitioner",
     "ContiguousPartitioner",

@@ -46,7 +46,7 @@ from typing import Callable
 
 import numpy as np
 
-from repro.core.base import Partitioner
+from repro.core.base import Partitioner, StreamPartitioner
 from repro.core.metrics import cut_edges, cut_from_counts
 from repro.core.result import PartitionResult
 from repro.engine import (
@@ -55,16 +55,20 @@ from repro.engine import (
     HypeScorer,
     InMemorySource,
     MinMaxScorer,
+    ShardPlacement,
     VertexBlock,
     blocks_of,
+    check_knobs,
     pass_kernel,
+    run_shards,
     run_tasks,
     segment_gather_index,
+    shard_bounds,
     shard_ranges,
     shard_ranges_by_pins,
 )
 from repro.hypergraph.model import Hypergraph
-from repro.streaming.reader import DEFAULT_CHUNK_SIZE, HypergraphChunkStream
+from repro.streaming.reader import DEFAULT_CHUNK_SIZE
 from repro.streaming.state import StreamingState, resolve_cost_matrix
 
 __all__ = [
@@ -161,11 +165,11 @@ class NeighborhoodExpansion(Partitioner):
     score_mode / kernel:
         kernel scoring mode and implementation, as in the streamers.
     workers:
-        > 1 splits the expansion order into pin-balanced contiguous
-        slices placed by forked workers on independent states (same
-        merge semantics as phase-1 sharded streaming: disjoint vertex
-        ranges, summed loads, per-shard caps that add up to the global
-        cap).
+        splits the expansion order into pin-balanced contiguous slices
+        placed by forked workers on independent states (the phase-1
+        stitch of :func:`~repro.engine.parallel.stitch_shards`: disjoint
+        vertex ranges, summed loads, per-shard caps that add up to the
+        global cap).  ``1`` is a one-shard run of the same path.
     """
 
     name = "hype"
@@ -184,18 +188,10 @@ class NeighborhoodExpansion(Partitioner):
     ) -> None:
         if balance_slack <= 1.0:
             raise ValueError(f"balance_slack must be > 1, got {balance_slack}")
-        if chunk_size < 1:
-            raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
-        if score_mode not in ("vertex", "chunk"):
-            raise ValueError(
-                f"score_mode must be 'vertex' or 'chunk', got {score_mode!r}"
-            )
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
-        if kernel not in ("auto", "python", "njit"):
-            raise ValueError(
-                f"kernel must be 'auto', 'python' or 'njit', got {kernel!r}"
-            )
+        check_knobs(
+            chunk_size=chunk_size, score_mode=score_mode, kernel=kernel,
+            workers=workers,
+        )
         self.balance_slack = float(balance_slack)
         self.expansion_penalty = float(expansion_penalty)
         self.chunk_size = int(chunk_size)
@@ -238,7 +234,6 @@ class NeighborhoodExpansion(Partitioner):
         )
         order = source.order
         total_weight = hg.total_vertex_weight()
-        assignment = np.full(hg.num_vertices, -1, dtype=np.int64)
         scorer = HypeScorer(self.expansion_penalty)
 
         degs = np.diff(hg.vertex_ptr)
@@ -262,6 +257,7 @@ class NeighborhoodExpansion(Partitioner):
                 state = self._make_state(p, hg.num_edges, shard_weight)
                 local = np.full(hg.num_vertices, -1, dtype=np.int64)
                 cap = self.balance_slack * shard_weight / p
+                t_pass = time.perf_counter()
                 kernel_mode = pass_kernel(
                     InMemorySource(
                         hg, order=part_order, block_size=self.chunk_size
@@ -274,43 +270,34 @@ class NeighborhoodExpansion(Partitioner):
                     cap=cap,
                     kernel=self.kernel,
                 )
-                return (
-                    local[part_order],
-                    state.loads.copy(),
-                    kernel_mode,
-                    getattr(state, "peak_tracked_edges", None),
-                    getattr(state, "evictions", None),
+                stats = {
+                    "kernel_mode": kernel_mode,
+                    "pass_seconds": time.perf_counter() - t_pass,
+                }
+                placement = ShardPlacement.from_state(
+                    part_order, local[part_order], state, stats
                 )
+                return placement, None
 
             return task
 
-        tasks = [make_task(a, b) for a, b in bounds]
-        results, parallel_mode = run_tasks(tasks, self.workers)
-        loads = np.zeros(p, dtype=np.float64)
-        for (a, b), (parts, shard_loads, _, _, _) in zip(bounds, results):
-            assignment[order[a:b]] = parts
-            loads += shard_loads
-        peaks = [r[3] for r in results if r[3] is not None]
-        evictions = [r[4] for r in results if r[4] is not None]
-        mean = loads.sum() / p
+        assignment, shared, _ = run_shards(
+            [make_task(a, b) for a, b in bounds], self.workers,
+            hg.num_vertices, p,
+        )
         return PartitionResult(
             assignment=assignment,
             num_parts=p,
             algorithm=self.name,
             metadata={
+                **shared,
                 "single_pass": True,
                 "expansion_penalty": self.expansion_penalty,
                 "balance_slack": self.balance_slack,
                 "max_expand_net": self.max_expand_net,
                 "score_mode": self.score_mode,
-                "kernel_mode": results[0][2],
-                "workers": self.workers,
-                "parallel_mode": parallel_mode,
                 "max_tracked_edges": self.max_tracked_edges,
-                "peak_tracked_edges": max(peaks) if peaks else None,
-                "evictions": int(sum(evictions)) if evictions else None,
                 "architecture_aware": False,
-                "imbalance": float(loads.max() / mean) if mean else 1.0,
                 "total_weight": total_weight,
                 "wall_time_s": time.perf_counter() - t_start,
             },
@@ -464,7 +451,7 @@ class MinMaxState(StreamingState):
         self._recount()
 
 
-class MinMaxStreamer(Partitioner):
+class MinMaxStreamer(StreamPartitioner):
     """Limited-memory min-max streaming partitioner (Taşyaran et al.).
 
     Single-pass placement at the argmax of the greedy min-max
@@ -493,9 +480,10 @@ class MinMaxStreamer(Partitioner):
     score_mode / kernel:
         kernel scoring mode and implementation, as in the streamers.
     workers:
-        > 1 splits the chunk stream into pin-balanced contiguous ranges
+        splits the chunk stream into pin-balanced contiguous ranges
         streamed by forked workers on independent states (phase-1
         sharding: disjoint vertex ranges, summed loads, per-shard caps).
+        ``1`` is a one-shard run of the same path.
     """
 
     name = "stream-minmax"
@@ -512,23 +500,15 @@ class MinMaxStreamer(Partitioner):
         kernel: str = "auto",
         workers: int = 1,
     ) -> None:
-        if chunk_size < 1:
-            raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
+        check_knobs(
+            chunk_size=chunk_size, score_mode=score_mode, kernel=kernel,
+            workers=workers,
+        )
         if balance_slack <= 1.0:
             raise ValueError(f"balance_slack must be > 1, got {balance_slack}")
         if buffer_size is not None and buffer_size < 1:
             raise ValueError(
                 f"buffer_size must be >= 1 or None, got {buffer_size}"
-            )
-        if score_mode not in ("vertex", "chunk"):
-            raise ValueError(
-                f"score_mode must be 'vertex' or 'chunk', got {score_mode!r}"
-            )
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
-        if kernel not in ("auto", "python", "njit"):
-            raise ValueError(
-                f"kernel must be 'auto', 'python' or 'njit', got {kernel!r}"
             )
         self.chunk_size = int(chunk_size)
         self.balance_slack = float(balance_slack)
@@ -540,21 +520,6 @@ class MinMaxStreamer(Partitioner):
         self.workers = int(workers)
 
     # ------------------------------------------------------------------
-    def partition(
-        self,
-        hg: Hypergraph,
-        num_parts: int,
-        *,
-        cost_matrix: "np.ndarray | None" = None,
-        seed=None,
-    ) -> PartitionResult:
-        """Stream an in-memory hypergraph chunk by chunk (adapter path)."""
-        self._check_args(hg, num_parts)
-        stream = HypergraphChunkStream(hg, self.chunk_size)
-        return self.partition_stream(
-            stream, num_parts, cost_matrix=cost_matrix, seed=seed
-        )
-
     def partition_stream(
         self,
         stream,
@@ -563,53 +528,66 @@ class MinMaxStreamer(Partitioner):
         cost_matrix: "np.ndarray | None" = None,
         seed=None,
     ) -> PartitionResult:
-        """Place every vertex of ``stream`` in a single min-max pass."""
+        """Place every vertex of ``stream`` in a single min-max pass.
+
+        The stream is cut into ``workers`` pin-balanced chunk ranges
+        (one range at ``workers=1``), each placed on its own state.
+        """
         del seed  # deterministic: the min-max greedy has no randomness
-        if num_parts < 1:
-            raise ValueError(f"num_parts must be >= 1, got {num_parts}")
-        if num_parts > stream.num_vertices:
-            raise ValueError(
-                f"cannot split {stream.num_vertices} vertices into {num_parts} parts"
-            )
+        self._check_args(stream, num_parts)
         t_start = time.perf_counter()
         p = num_parts
-        C, aware = resolve_cost_matrix(cost_matrix, p)
-        assignment = np.full(stream.num_vertices, -1, dtype=np.int64)
+        # min-max is architecture-blind; C only feeds monitoring
+        C, _ = resolve_cost_matrix(cost_matrix, p)
+        chunk_pins = stream.chunk_pins()
+        if chunk_pins is None or len(chunk_pins) != stream.num_chunks:
+            ranges = shard_ranges(stream.num_chunks, self.workers)
+        else:
+            ranges = shard_ranges_by_pins(chunk_pins, self.workers)
+        vertex_bounds, shard_weights = shard_bounds(stream, ranges)
+        single = len(ranges) == 1
 
-        del aware  # min-max is architecture-blind; C only feeds monitoring
-        if self.workers > 1:
-            return self._partition_sharded(stream, p, t_start)
+        def make_task(k: int):
+            lo, hi = ranges[k]
+            a, b = vertex_bounds[k]
 
-        state, stats = self._run_shard(
-            iter(stream),
-            p,
-            assignment,
-            shard_weight=stream.total_vertex_weight,
+            def task():
+                local = np.full(stream.num_vertices, -1, dtype=np.int64)
+                state, stats = self._run_shard(
+                    stream.iter_range(lo, hi), p, local,
+                    shard_weight=shard_weights[k],
+                )
+                placement = ShardPlacement.from_state(
+                    slice(a, b), local[a:b], state, stats
+                )
+                cost = None
+                if single:  # only a lone shard's table sees every pin
+                    cost = state.pc_cost(C, edge_weights=stream.edge_weights)
+                return placement, (int(state.connectivity.max()), cost)
+
+            return task
+
+        assignment, shared, extras = run_shards(
+            [make_task(k) for k in range(len(ranges))], self.workers,
+            stream.num_vertices, p,
         )
         return PartitionResult(
             assignment=assignment,
             num_parts=p,
             algorithm=self.name,
             metadata={
+                **shared,
                 "single_pass": True,
                 "objective": "minmax-connectivity",
                 "score_mode": self.score_mode,
-                "kernel_mode": stats["kernel_mode"],
-                "pass_seconds": stats["pass_seconds"],
                 "balance_slack": self.balance_slack,
                 "buffer_size": self.buffer_size,
                 "similarity_ordered": self.buffer_size is not None,
                 "max_tracked_edges": self.max_tracked_edges,
-                "peak_tracked_edges": state.peak_tracked_edges,
-                "evictions": state.evictions,
-                "max_connectivity": int(state.connectivity.max()),
-                "monitored_pc_cost": state.pc_cost(
-                    C, edge_weights=stream.edge_weights
-                ),
+                "max_connectivity": max(conn for conn, _ in extras),
+                "monitored_pc_cost": extras[0][1],
                 "peak_resident_pins": stream.peak_resident_pins,
                 "architecture_aware": False,
-                "imbalance": state.imbalance(),
-                "workers": 1,
                 "wall_time_s": time.perf_counter() - t_start,
             },
         )
@@ -711,81 +689,6 @@ class MinMaxStreamer(Partitioner):
                 yield flush()
         if held:
             yield flush()
-
-    # ------------------------------------------------------------------
-    def _partition_sharded(self, stream, p, t_start):
-        """Phase-1 sharding: disjoint chunk ranges on independent states."""
-        chunk_pins = stream.chunk_pins()
-        if chunk_pins is None or len(chunk_pins) != stream.num_chunks:
-            ranges = shard_ranges(stream.num_chunks, self.workers)
-        else:
-            ranges = shard_ranges_by_pins(chunk_pins, self.workers)
-        vertex_bounds = [
-            (stream.chunk_bounds(lo)[0], stream.chunk_bounds(hi - 1)[1])
-            for lo, hi in ranges
-        ]
-        vertex_weights = stream.vertex_weights
-        shard_weights = [
-            float(vertex_weights[a:b].sum()) for a, b in vertex_bounds
-        ]
-
-        def make_task(k: int):
-            lo, hi = ranges[k]
-
-            def task():
-                local = np.full(stream.num_vertices, -1, dtype=np.int64)
-                state, stats = self._run_shard(
-                    stream.iter_range(lo, hi),
-                    p,
-                    local,
-                    shard_weight=shard_weights[k],
-                )
-                a, b = vertex_bounds[k]
-                return (
-                    local[a:b],
-                    state.loads.copy(),
-                    state.peak_tracked_edges,
-                    state.evictions,
-                    int(state.connectivity.max()),
-                    stats,
-                )
-
-            return task
-
-        tasks = [make_task(k) for k in range(len(ranges))]
-        results, parallel_mode = run_tasks(tasks, self.workers)
-        assignment = np.full(stream.num_vertices, -1, dtype=np.int64)
-        loads = np.zeros(p, dtype=np.float64)
-        for (a, b), res in zip(vertex_bounds, results):
-            assignment[a:b] = res[0]
-            loads += res[1]
-        mean = loads.sum() / p
-        return PartitionResult(
-            assignment=assignment,
-            num_parts=p,
-            algorithm=self.name,
-            metadata={
-                "single_pass": True,
-                "objective": "minmax-connectivity",
-                "score_mode": self.score_mode,
-                "kernel_mode": results[0][5]["kernel_mode"],
-                "pass_seconds": sum(r[5]["pass_seconds"] for r in results),
-                "balance_slack": self.balance_slack,
-                "buffer_size": self.buffer_size,
-                "similarity_ordered": self.buffer_size is not None,
-                "max_tracked_edges": self.max_tracked_edges,
-                "peak_tracked_edges": max(r[2] for r in results),
-                "evictions": int(sum(r[3] for r in results)),
-                "max_connectivity": max(r[4] for r in results),
-                "monitored_pc_cost": None,
-                "peak_resident_pins": stream.peak_resident_pins,
-                "architecture_aware": False,
-                "imbalance": float(loads.max() / mean) if mean else 1.0,
-                "workers": self.workers,
-                "parallel_mode": parallel_mode,
-                "wall_time_s": time.perf_counter() - t_start,
-            },
-        )
 
 
 # ----------------------------------------------------------------------
@@ -1209,6 +1112,7 @@ def _make_buffered(hg, workers: int = 1):
     return BufferedRestreamer(
         _invariant_config(),
         buffer_size=max(1, hg.num_vertices // 4),
+        chunk_size=32,
         workers=workers,
     )
 

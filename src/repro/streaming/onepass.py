@@ -32,22 +32,25 @@ import time
 
 import numpy as np
 
-from repro.core.base import Partitioner
+from repro.core.base import StreamPartitioner
 from repro.core.result import PartitionResult
 from repro.core.schedule import initial_alpha_from_counts
-from repro.engine import FennelScorer, HyperPRAWScorer, blocks_of, pass_kernel
-from repro.hypergraph.model import Hypergraph
-from repro.streaming.reader import (
-    DEFAULT_CHUNK_SIZE,
-    ChunkStream,
-    HypergraphChunkStream,
+from repro.engine import (
+    FennelScorer,
+    HyperPRAWScorer,
+    ShardPlacement,
+    blocks_of,
+    check_knobs,
+    pass_kernel,
+    stitch_shards,
 )
+from repro.streaming.reader import DEFAULT_CHUNK_SIZE, ChunkStream
 from repro.streaming.state import StreamingState, resolve_cost_matrix
 
 __all__ = ["OnePassStreamer"]
 
 
-class OnePassStreamer(Partitioner):
+class OnePassStreamer(StreamPartitioner):
     """Single-pass bounded-memory streaming partitioner.
 
     Parameters
@@ -129,30 +132,22 @@ class OnePassStreamer(Partitioner):
         shard_by: str = "pins",
         kernel: str = "auto",
     ) -> None:
-        if chunk_size < 1:
-            raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
+        check_knobs(
+            chunk_size=chunk_size, score_mode=score_mode, kernel=kernel,
+            workers=workers,
+        )
         if presence_threshold < 1:
             raise ValueError(
                 f"presence_threshold must be >= 1, got {presence_threshold}"
             )
         if balance_slack is not None and balance_slack <= 1.0:
             raise ValueError(f"balance_slack must be > 1, got {balance_slack}")
-        if score_mode not in ("vertex", "chunk"):
-            raise ValueError(
-                f"score_mode must be 'vertex' or 'chunk', got {score_mode!r}"
-            )
         if scorer not in ("eq1", "fennel"):
             raise ValueError(
                 f"scorer must be 'eq1' or 'fennel', got {scorer!r}"
             )
         if gamma <= 1.0:
             raise ValueError(f"gamma must be > 1, got {gamma}")
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
-        if kernel not in ("auto", "python", "njit"):
-            raise ValueError(
-                f"kernel must be 'auto', 'python' or 'njit', got {kernel!r}"
-            )
         self.chunk_size = int(chunk_size)
         self.alpha = alpha
         self.presence_threshold = int(presence_threshold)
@@ -167,21 +162,6 @@ class OnePassStreamer(Partitioner):
         self.kernel = kernel
 
     # ------------------------------------------------------------------
-    def partition(
-        self,
-        hg: Hypergraph,
-        num_parts: int,
-        *,
-        cost_matrix: "np.ndarray | None" = None,
-        seed=None,
-    ) -> PartitionResult:
-        """Stream an in-memory hypergraph chunk by chunk (adapter path)."""
-        self._check_args(hg, num_parts)
-        stream = HypergraphChunkStream(hg, self.chunk_size)
-        return self.partition_stream(
-            stream, num_parts, cost_matrix=cost_matrix, seed=seed
-        )
-
     def partition_stream(
         self,
         stream: ChunkStream,
@@ -202,23 +182,22 @@ class OnePassStreamer(Partitioner):
             ).partition_stream(
                 stream, num_parts, cost_matrix=cost_matrix, seed=seed
             )
-        if num_parts < 1:
-            raise ValueError(f"num_parts must be >= 1, got {num_parts}")
-        if num_parts > stream.num_vertices:
-            raise ValueError(
-                f"cannot split {stream.num_vertices} vertices into {num_parts} parts"
-            )
+        self._check_args(stream, num_parts)
         t_start = time.perf_counter()
         p = num_parts
         C, aware = resolve_cost_matrix(cost_matrix, p)
-        assignment = np.full(stream.num_vertices, -1, dtype=np.int64)
+        local = np.full(stream.num_vertices, -1, dtype=np.int64)
         state, stats = self._run_shard(
             iter(stream),
             p,
             C,
-            assignment,
+            local,
             stream_counts=(stream.num_vertices, stream.num_edges),
             shard_weight=stream.total_vertex_weight,
+        )
+        assignment, _, shared = stitch_shards(
+            [ShardPlacement.from_state(slice(None), local, state, stats)],
+            stream.num_vertices, p,
         )
 
         return PartitionResult(
@@ -226,22 +205,18 @@ class OnePassStreamer(Partitioner):
             num_parts=p,
             algorithm=self.name,
             metadata={
+                **shared,
                 "single_pass": True,
                 "score_mode": self.score_mode,
                 "scorer": self.scorer,
-                "kernel_mode": stats["kernel_mode"],
-                "pass_seconds": stats["pass_seconds"],
                 "alpha": stats["alpha"],
                 "balance_slack": self.balance_slack,
                 "max_tracked_edges": self.max_tracked_edges,
-                "peak_tracked_edges": state.peak_tracked_edges,
-                "evictions": state.evictions,
                 "monitored_pc_cost": state.pc_cost(
                     C, edge_weights=stream.edge_weights
                 ),
                 "peak_resident_pins": stream.peak_resident_pins,
                 "architecture_aware": aware,
-                "imbalance": state.imbalance(),
                 "wall_time_s": time.perf_counter() - t_start,
             },
         )

@@ -49,7 +49,7 @@ import time
 
 import numpy as np
 
-from repro.core.base import Partitioner
+from repro.core.base import StreamPartitioner
 from repro.core.config import HyperPRAWConfig
 from repro.core.result import IterationRecord, PartitionResult
 from repro.core.schedule import (
@@ -60,18 +60,14 @@ from repro.core.schedule import (
 )
 from repro.engine import (
     HyperPRAWScorer,
+    ShardPlacement,
     VertexBlock,
     move_back,
     pass_kernel,
     resolve_kernel,
+    stitch_shards,
 )
-from repro.hypergraph.model import Hypergraph
-from repro.streaming.reader import (
-    DEFAULT_CHUNK_SIZE,
-    ChunkStream,
-    HypergraphChunkStream,
-    VertexChunk,
-)
+from repro.streaming.reader import DEFAULT_CHUNK_SIZE, ChunkStream, VertexChunk
 from repro.streaming.state import StreamingState, resolve_cost_matrix
 
 __all__ = ["BufferedRestreamer"]
@@ -165,7 +161,7 @@ def _split_chunk(chunk: VertexChunk, k: int) -> "tuple[VertexChunk, VertexChunk]
     return head, tail
 
 
-class BufferedRestreamer(Partitioner):
+class BufferedRestreamer(StreamPartitioner):
     """Bounded-buffer restreaming partitioner (HyperPRAW over a window).
 
     Parameters
@@ -223,21 +219,6 @@ class BufferedRestreamer(Partitioner):
         self.workers = int(workers) if workers is not None else self.config.workers
 
     # ------------------------------------------------------------------
-    def partition(
-        self,
-        hg: Hypergraph,
-        num_parts: int,
-        *,
-        cost_matrix: "np.ndarray | None" = None,
-        seed=None,
-    ) -> PartitionResult:
-        """Stream an in-memory hypergraph chunk by chunk (adapter path)."""
-        self._check_args(hg, num_parts)
-        stream = HypergraphChunkStream(hg, self.chunk_size)
-        return self.partition_stream(
-            stream, num_parts, cost_matrix=cost_matrix, seed=seed
-        )
-
     def partition_stream(
         self,
         stream: ChunkStream,
@@ -258,18 +239,13 @@ class BufferedRestreamer(Partitioner):
             ).partition_stream(
                 stream, num_parts, cost_matrix=cost_matrix, seed=seed
             )
-        if num_parts < 1:
-            raise ValueError(f"num_parts must be >= 1, got {num_parts}")
-        if num_parts > stream.num_vertices:
-            raise ValueError(
-                f"cannot split {stream.num_vertices} vertices into {num_parts} parts"
-            )
+        self._check_args(stream, num_parts)
         t_start = time.perf_counter()
         cfg = self.config
         p = num_parts
         C, aware = resolve_cost_matrix(cost_matrix, p)
         edge_w = stream.edge_weights if cfg.use_edge_weights else None
-        assignment = np.full(stream.num_vertices, -1, dtype=np.int64)
+        local = np.full(stream.num_vertices, -1, dtype=np.int64)
         history: "list[IterationRecord] | None" = (
             [] if cfg.record_history else None
         )
@@ -277,11 +253,15 @@ class BufferedRestreamer(Partitioner):
             iter(stream),
             p,
             C,
-            assignment,
+            local,
             stream_counts=(stream.num_vertices, stream.num_edges),
             shard_weight=stream.total_vertex_weight,
             edge_weights=edge_w,
             history=history,
+        )
+        assignment, _, shared = stitch_shards(
+            [ShardPlacement.from_state(slice(None), local, state, stats)],
+            stream.num_vertices, p,
         )
 
         return PartitionResult(
@@ -290,19 +270,16 @@ class BufferedRestreamer(Partitioner):
             algorithm=self.name,
             iterations=history or [],
             metadata={
+                **shared,
                 "converged": stats["converged"],
                 "rolled_back": stats["rolled_back"],
                 "iterations_run": stats["iterations"],
                 "batches": stats["batches"],
                 "buffer_size": self.buffer_size,
                 "score_mode": self._score_mode(),
-                "kernel_mode": stats["kernel_mode"],
-                "pass_seconds": stats["pass_seconds"],
                 "final_alpha": stats["final_alpha"],
                 "final_pc_cost": float(stats["final_cost"]),
                 "max_tracked_edges": self.max_tracked_edges,
-                "peak_tracked_edges": state.peak_tracked_edges,
-                "evictions": state.evictions,
                 "peak_resident_pins": stream.peak_resident_pins,
                 "architecture_aware": aware,
                 "imbalance_tolerance": cfg.imbalance_tolerance,

@@ -73,7 +73,7 @@ import warnings
 
 import numpy as np
 
-from repro.core.base import Partitioner
+from repro.core.base import Partitioner, StreamPartitioner
 from repro.core.schedule import (
     TemperingSchedule,
     initial_alpha_from_counts,
@@ -82,23 +82,22 @@ from repro.core.schedule import (
 from repro.engine import (
     FennelScorer,
     HyperPRAWScorer,
+    ShardPlacement,
     ShardRounds,
     VertexBlock,
+    check_knobs,
     merge_shard_tables,
     move_back,
     pass_kernel,
     segment_gather_index,
+    shard_bounds,
     shard_ranges,
     shard_ranges_by_pins,
+    stitch_shards,
 )
 from repro.core.metrics import table_comm_cost
 from repro.core.result import PartitionResult
-from repro.hypergraph.model import Hypergraph
-from repro.streaming.reader import (
-    DEFAULT_CHUNK_SIZE,
-    ChunkStream,
-    HypergraphChunkStream,
-)
+from repro.streaming.reader import DEFAULT_CHUNK_SIZE, ChunkStream
 from repro.streaming.state import resolve_cost_matrix
 from repro.utils.rng import seed_sequence, spawn_generators
 
@@ -122,7 +121,7 @@ def _boundary_scorer(
     )
 
 
-class ShardedStreamer(Partitioner):
+class ShardedStreamer(StreamPartitioner):
     """Parallel sharded wrapper around a streaming partitioner.
 
     Parameters
@@ -208,15 +207,12 @@ class ShardedStreamer(Partitioner):
                 f"{type(base).__name__} does not implement the sharding "
                 "contract (_run_shard/_shard_profile)"
             )
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
+        check_knobs(chunk_size=chunk_size, workers=workers)
         if boundary_max_iterations is not None and boundary_max_iterations < 0:
             raise ValueError(
                 "boundary_max_iterations must be >= 0 or None, "
                 f"got {boundary_max_iterations}"
             )
-        if chunk_size < 1:
-            raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
         if payload not in ("boundary", "full"):
             raise ValueError(
                 f"payload must be 'boundary' or 'full', got {payload!r}"
@@ -234,21 +230,6 @@ class ShardedStreamer(Partitioner):
         self.tailored = bool(tailored)
 
     # ------------------------------------------------------------------
-    def partition(
-        self,
-        hg: Hypergraph,
-        num_parts: int,
-        *,
-        cost_matrix: "np.ndarray | None" = None,
-        seed=None,
-    ) -> PartitionResult:
-        """Stream an in-memory hypergraph chunk by chunk (adapter path)."""
-        self._check_args(hg, num_parts)
-        stream = HypergraphChunkStream(hg, self.chunk_size)
-        return self.partition_stream(
-            stream, num_parts, cost_matrix=cost_matrix, seed=seed
-        )
-
     # ------------------------------------------------------------------
     def _shard_ranges(
         self, stream: ChunkStream
@@ -304,12 +285,7 @@ class ShardedStreamer(Partitioner):
     ) -> PartitionResult:
         """Shard, stream in parallel, merge boundary-only payloads, then
         restream the boundary across the same worker pool."""
-        if num_parts < 1:
-            raise ValueError(f"num_parts must be >= 1, got {num_parts}")
-        if num_parts > stream.num_vertices:
-            raise ValueError(
-                f"cannot split {stream.num_vertices} vertices into {num_parts} parts"
-            )
+        self._check_args(stream, num_parts)
         t_start = time.perf_counter()
         p = num_parts
         C, aware = resolve_cost_matrix(cost_matrix, p)
@@ -319,12 +295,8 @@ class ShardedStreamer(Partitioner):
         seed_root = seed_sequence(seed)
         rngs = spawn_generators(seed_root, nshards)
         counts = (stream.num_vertices, stream.num_edges)
-        vertex_weights = stream.vertex_weights
         edge_w = stream.edge_weights if profile["use_edge_weights"] else None
-        vertex_bounds = [
-            (stream.chunk_bounds(lo)[0], stream.chunk_bounds(hi - 1)[1])
-            for lo, hi in ranges
-        ]
+        vertex_bounds, shard_weights = shard_bounds(stream, ranges)
         boundary_ship = self.payload == "boundary" and nshards > 1
         edge_degrees = None
         if boundary_ship:
@@ -335,10 +307,6 @@ class ShardedStreamer(Partitioner):
             if edge_degrees is None:
                 edge_degrees = stream.compute_edge_degrees()
         total_weight = stream.total_vertex_weight
-
-        shard_weights = [
-            float(vertex_weights[a:b].sum()) for a, b in vertex_bounds
-        ]
         shard_ctx = {
             "ranges": ranges,
             "vertex_bounds": vertex_bounds,
@@ -359,12 +327,14 @@ class ShardedStreamer(Partitioner):
 
             # Phase 2: merge — loads sum exactly; shipped rows reconcile;
             # nets shipped by two or more shards flag the boundary.
-            assignment = np.full(stream.num_vertices, -1, dtype=np.int64)
-            for (v_lo, v_hi), res in zip(vertex_bounds, results):
-                assignment[v_lo:v_hi] = res["assignment"]
-            global_loads = np.sum(
-                [res["loads"] for res in results], axis=0
-            ).astype(np.float64)
+            _, global_loads, _ = stitch_shards(
+                [
+                    ShardPlacement(slice(*b), res["assignment"], res["loads"])
+                    for b, res in zip(vertex_bounds, results)
+                ],
+                stream.num_vertices,
+                p,
+            )
             all_edges, all_counts, boundary = merge_shard_tables(
                 [(res["edges"], res["table"]) for res in results], p
             )
@@ -372,14 +342,6 @@ class ShardedStreamer(Partitioner):
             full_payload_bytes = sum(
                 res["full_payload_bytes"] for res in results
             )
-            # Kernel observability: phase-1 shard passes all resolve the
-            # same way (same base recipe), so the mode is shared; wall
-            # time in the kernel sums across shards (it overlaps under
-            # fork — a utilisation meter, not a latency).
-            shard_pass_seconds = sum(
-                res["stats"].get("pass_seconds", 0.0) for res in results
-            )
-            kernel_mode = results[0]["stats"].get("kernel_mode", "python")
 
             # Phase 3: sharded boundary restream — snapshot-table rounds
             # with a merge barrier per pass, schedule run by the driver.
@@ -520,34 +482,44 @@ class ShardedStreamer(Partitioner):
 
         boundary_vertices = 0
         interior_cost = 0.0
-        evictions = 0
-        peak_tracked = 0
-        for (v_lo, v_hi), fin in zip(vertex_bounds, finals):
-            assignment[v_lo:v_hi] = fin["assignment"]
-            global_loads += fin["delta_loads"]
+        for fin in finals:
             if bound_counts.shape[0]:
                 bound_counts[fin["edge_sel"]] += fin["delta_counts"]
             boundary_vertices += fin["boundary_vertices"]
             interior_cost += fin["interior_cost"]
-            evictions += fin["evictions"]
-            peak_tracked = max(peak_tracked, fin["peak_tracked"])
         if bound_counts.shape[0]:
             np.maximum(bound_counts, 0, out=bound_counts)
+        # Phase-1 stats ride with each shard's final placement; the
+        # final loads add each shard's rollback delta to the rounds'.
+        run_meta = pool.run_metadata()
+        assignment, _, shared = stitch_shards(
+            [
+                ShardPlacement(
+                    slice(*b), fin["assignment"], fin["delta_loads"],
+                    res["stats"]["kernel_mode"], res["stats"]["pass_seconds"],
+                    fin["peak_tracked"], fin["evictions"],
+                )
+                for b, res, fin in zip(vertex_bounds, results, finals)
+            ],
+            stream.num_vertices,
+            p,
+            workers=self.workers,
+            parallel_mode=run_meta["parallel_mode"],
+            loads=global_loads,
+        )
 
         monitored_cost = (
             table_comm_cost(bound_counts, C, boundary, stream.edge_weights)
             + interior_cost
         )
-        imbalance = float(global_loads.max() / (global_loads.sum() / p))
 
         return PartitionResult(
             assignment=assignment,
             num_parts=p,
             algorithm=self.name,
             metadata={
+                **shared,
                 "base_algorithm": self.base.name,
-                "workers": self.workers,
-                "shards": nshards,
                 "shard_chunk_ranges": ranges,
                 "sharded_by": sharded_by,
                 "shard_pins": shard_pins,
@@ -575,16 +547,11 @@ class ShardedStreamer(Partitioner):
                 "boundary_vertices": int(boundary_vertices),
                 "boundary_iterations": int(boundary_iterations),
                 "max_tracked_edges": profile["max_tracked_edges"],
-                "peak_tracked_edges": peak_tracked,
-                "evictions": evictions,
                 "monitored_pc_cost": monitored_cost,
                 "peak_resident_pins": stream.peak_resident_pins,
                 "architecture_aware": aware,
-                "imbalance": imbalance,
-                "kernel_mode": kernel_mode,
-                "pass_seconds": shard_pass_seconds,
                 "wall_time_s": time.perf_counter() - t_start,
-                **pool.run_metadata(),
+                **run_meta,
             },
         )
 

@@ -4,7 +4,10 @@ The load-bearing property: collapsing the four historical pass loops
 onto one kernel changed *nothing* — the golden hashes below were
 computed with the pre-engine (seed-state) implementations of HyperPRAW,
 FennelStreaming and BufferedRestreamer, and the refactored partitioners
-must reproduce them byte for byte.  Around that: the block sources, the
+must reproduce them byte for byte (FENNEL now runs as
+``OnePassStreamer(scorer="fennel", alpha="fennel")``, same digest).  The
+HYPE and min-max table pins their phase-1 sharding at workers 1, 2 and
+4.  Around that: the block sources, the
 dense kernel state, shard-range splitting and the table merge.
 """
 
@@ -32,7 +35,7 @@ from repro.engine import (
     shard_ranges,
 )
 from repro.hypergraph.suite import load_instance
-from repro.partitioning.fennel import FennelStreaming
+from repro.partitioning.families import PARTITIONERS
 from repro.streaming import (
     BufferedRestreamer,
     HypergraphChunkStream,
@@ -45,6 +48,11 @@ def _digest(assignment: np.ndarray) -> str:
     return hashlib.sha256(
         np.ascontiguousarray(assignment, dtype=np.int64).tobytes()
     ).hexdigest()[:16]
+
+
+def _fennel(**kwargs) -> OnePassStreamer:
+    """The single-pass FENNEL baseline."""
+    return OnePassStreamer(scorer="fennel", alpha="fennel", **kwargs)
 
 
 @pytest.fixture(scope="module")
@@ -71,14 +79,8 @@ class TestSeedStateGoldens:
         assert _digest(r.assignment) == "9ea26121193ea3a6"
 
     def test_fennel_sparsine(self, instance):
-        r = FennelStreaming().partition(instance, 8)
+        r = _fennel().partition(instance, 8)
         assert _digest(r.assignment) == "f0d6772baeeed45d"
-
-    def test_fennel_mesh_shuffled(self, mesh_instance):
-        r = FennelStreaming(stream_order="shuffled").partition(
-            mesh_instance, 4, seed=7
-        )
-        assert _digest(r.assignment) == "e7f2e49ccb259ca1"
 
     def test_buffered_restreamer_sparsine(self, instance):
         r = BufferedRestreamer(
@@ -89,6 +91,62 @@ class TestSeedStateGoldens:
     def test_onepass_sparsine(self, instance):
         r = OnePassStreamer(chunk_size=31).partition(instance, 8)
         assert _digest(r.assignment) == "fef8eed11a7839f5"
+
+
+#: registry ``make`` at p=4, seed=7 on the invariant matrix's instances:
+#: (instance, family) -> digests at workers 1, 2 and 4.
+SHARDED_FAMILY_GOLDENS = {
+    ("uniform", "hype"): (
+        "12cd3cc76ae75809", "74177749e89dd4b4", "a4f45928ffc68852",
+    ),
+    ("uniform", "minmax"): (
+        "512675a92fcb1471", "b5d6a91e3edb33fd", "89614b323eadf08e",
+    ),
+    ("powerlaw", "hype"): (
+        "e5293736ff1459c6", "1176759f5c105a03", "b99fbc0d124c0371",
+    ),
+    ("powerlaw", "minmax"): (
+        "75baa206e05b3a5b", "20ec331614fd5c9c", "917fdd93cb70c6dc",
+    ),
+    ("mesh", "hype"): (
+        "55106760381c4fd3", "e89ca295b7047e1d", "1e8c37d80e56012c",
+    ),
+    ("mesh", "minmax"): (
+        "f9f64d9d0c1a75b1", "6aa4f4a3119a8834", "9b127868293afed4",
+    ),
+}
+
+
+class TestShardedFamilyGoldens:
+    """HYPE and min-max phase-1 sharding reproduce their pinned
+    assignments at every worker count."""
+
+    @pytest.mark.parametrize("workers", (1, 2, 4))
+    @pytest.mark.parametrize(("family", "name"), list(SHARDED_FAMILY_GOLDENS))
+    def test_registry_family(self, family, name, workers):
+        from test_invariants import _instance
+
+        hg = _instance(family)
+        r = PARTITIONERS[name].make(hg, workers).partition(hg, 4, seed=7)
+        want = SHARDED_FAMILY_GOLDENS[family, name][(1, 2, 4).index(workers)]
+        assert _digest(r.assignment) == want
+
+    @pytest.mark.parametrize(
+        ("workers", "want"),
+        ((1, "59fe539e1b42d841"), (2, "4f6c87ee75ca5a3a")),
+    )
+    def test_capped_buffered_minmax(self, workers, want):
+        from repro.partitioning.families import MinMaxStreamer
+        from test_invariants import _instance
+
+        hg = _instance("mesh")
+        r = MinMaxStreamer(
+            max_tracked_edges=40,
+            buffer_size=64,
+            chunk_size=32,
+            workers=workers,
+        ).partition(hg, 4, seed=7)
+        assert _digest(r.assignment) == want
 
 
 class TestVertexBlocks:
@@ -237,8 +295,10 @@ class TestKernel:
 
         p = 4
         C = uniform_cost_matrix(p)
-        exact = FennelStreaming().partition(mesh_instance, p)
-        chunked = FennelStreaming(chunk_size=64).partition(mesh_instance, p)
+        exact = _fennel().partition(mesh_instance, p)
+        chunked = _fennel(score_mode="chunk", chunk_size=64).partition(
+            mesh_instance, p
+        )
         q_exact = evaluate_partition(mesh_instance, exact.assignment, p, C)
         q_chunk = evaluate_partition(mesh_instance, chunked.assignment, p, C)
         assert (chunked.assignment >= 0).all()

@@ -2,7 +2,7 @@
 
 Randomised hypergraphs (three generator families, seeded) x **every
 family registered in** :data:`repro.partitioning.families.PARTITIONERS`
-(plus the non-registry baselines HyperPRAW and Fennel, and the FM-polished
+(plus the non-registry baselines HyperPRAW and FENNEL, and the FM-polished
 wrapper) x worker counts {1, 2, 4}, asserting the invariants every
 refactor of the engine or parallel layer must preserve:
 
@@ -49,7 +49,6 @@ from repro.partitioning.families import (
     RefineConfig,
     family_names,
 )
-from repro.partitioning.fennel import FennelStreaming
 from repro.streaming import (
     BufferedRestreamer,
     OnePassStreamer,
@@ -100,7 +99,10 @@ def _partitioners(hg):
     """
     entries = {
         "hyperpraw": (lambda: HyperPRAW(_cfg()), 1.1),
-        "fennel": (lambda: FennelStreaming(), 1.2),
+        "fennel": (
+            lambda: OnePassStreamer(scorer="fennel", alpha="fennel"),
+            1.2,
+        ),
     }
     for name, spec in FAMILY_REGISTRY.items():
         for w in WORKER_COUNTS:
@@ -139,6 +141,10 @@ class TestCoreInvariants:
             assert imbalance <= imb_bound + 1e-9, (name, imbalance)
             # (c) same seed => identical assignment
             assert np.array_equal(first.assignment, again.assignment), name
+            # a sharded registry row really shards
+            family, _, workers = name.rpartition("-w")
+            if family in FAMILY_REGISTRY and int(workers) > 1:
+                assert first.metadata["shards"] > 1, name
 
     def test_different_worker_counts_all_valid(self, instance):
         """The shard structure changes results, never their validity —
@@ -173,6 +179,42 @@ class TestCoreInvariants:
                 "sequential"
             ), name
             assert np.array_equal(forked.assignment, sequential.assignment), name
+
+
+#: The metadata block :func:`repro.engine.parallel.stitch_shards` gives
+#: every family, sharded or not.
+SHARED_METADATA = (
+    "workers",
+    "shards",
+    "parallel_mode",
+    "kernel_mode",
+    "pass_seconds",
+    "peak_tracked_edges",
+    "evictions",
+    "imbalance",
+)
+
+
+@pytest.mark.parametrize("workers", (1, 2))
+@pytest.mark.parametrize("name", family_names())
+def test_every_family_reports_the_shared_metadata(name, workers):
+    import repro.engine.parallel as parallel
+
+    hg = _instance("uniform")
+    result = FAMILY_REGISTRY[name].make(hg, workers).partition(hg, P, seed=7)
+    md = result.metadata
+    missing = [key for key in SHARED_METADATA if key not in md]
+    assert not missing, (name, missing)
+    assert md["workers"] == workers
+    assert md["shards"] == workers
+    forked = workers > 1 and parallel.fork_available()
+    assert md["parallel_mode"] == ("forked" if forked else "sequential")
+    assert md["kernel_mode"] in ("python", "njit")
+    assert md["pass_seconds"] >= 0.0
+    loads = np.bincount(
+        result.assignment, weights=hg.vertex_weights, minlength=P
+    )
+    assert md["imbalance"] == pytest.approx(loads.max() / loads.mean())
 
 
 class TestRegistryCompleteness:

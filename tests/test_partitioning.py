@@ -1,4 +1,7 @@
-"""Tests for the baseline partitioners (simple, FENNEL, multilevel RB)."""
+"""Tests for the baseline partitioners (simple, FENNEL, multilevel RB).
+
+The FENNEL baseline is ``OnePassStreamer(scorer="fennel", alpha="fennel")``.
+"""
 
 import numpy as np
 import pytest
@@ -6,7 +9,6 @@ import pytest
 from repro.architecture.cost import uniform_cost_matrix
 from repro.core.metrics import hyperedge_cut, imbalance, partition_loads
 from repro.hypergraph.model import Hypergraph
-from repro.partitioning.fennel import FennelStreaming
 from repro.partitioning.multilevel import MultilevelRB
 from repro.partitioning.multilevel.coarsen import (
     coarsen_hierarchy,
@@ -21,6 +23,11 @@ from repro.partitioning.simple import (
     RandomPartitioner,
     RoundRobinPartitioner,
 )
+from repro.streaming import OnePassStreamer
+
+
+def _fennel(**kwargs) -> OnePassStreamer:
+    return OnePassStreamer(scorer="fennel", alpha="fennel", **kwargs)
 
 
 class TestSimplePartitioners:
@@ -53,14 +60,14 @@ class TestSimplePartitioners:
 
 class TestFennel:
     def test_valid_and_balanced(self, small_random):
-        res = FennelStreaming().partition(small_random, 8)
+        res = _fennel().partition(small_random, 8)
         assert res.assignment.min() >= 0 and res.assignment.max() < 8
         assert imbalance(small_random, res.assignment, 8) <= 1.25
 
     def test_beats_random_on_structure(self, two_cluster_hypergraph):
         hg = two_cluster_hypergraph
         fennel_cut = hyperedge_cut(
-            hg, FennelStreaming().partition(hg, 2).assignment, 2
+            hg, _fennel().partition(hg, 2).assignment, 2
         )
         rand_cut = hyperedge_cut(
             hg, RandomPartitioner().partition(hg, 2, seed=0).assignment, 2
@@ -69,11 +76,9 @@ class TestFennel:
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
-            FennelStreaming(gamma=1.0)
+            _fennel(gamma=1.0)
         with pytest.raises(ValueError):
-            FennelStreaming(balance_slack=1.0)
-        with pytest.raises(ValueError):
-            FennelStreaming(stream_order="spiral")
+            _fennel(balance_slack=1.0)
 
 
 class TestMatching:
