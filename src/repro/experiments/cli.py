@@ -2,17 +2,17 @@
 
 Regenerates any table/figure of the paper from the terminal::
 
-    hyperpraw-repro table1
+    hyperpraw-repro table1 --scale 0.5
     hyperpraw-repro figure5 --nodes 4 --scale 0.5 --jobs 1 --iterations 1
     hyperpraw-repro all --scale 0.25
 
 and runs the out-of-core streaming scenario::
 
-    hyperpraw-repro stream                          # suite stress instance
+    hyperpraw-repro stream                          # suite comparison ladder
     hyperpraw-repro stream --instances sparsine --scale 0.5 --chunk-size 256
+    hyperpraw-repro stream --workers 4              # + worker-scaling report
     hyperpraw-repro stream --stream-input big.hgr   # partition a real file
-    hyperpraw-repro stream --workers 4              # parallel sharded streaming
-    hyperpraw-repro stream --pin-budget 1000000     # pin-bounded chunking
+    hyperpraw-repro stream --partitioner minmax --max-tracked-edges 4000
     hyperpraw-repro stream --stream-input big.hgr --cache ~/.hyperpraw-cache
                                                     # replay the binary chunk
                                                     # store on the second run
@@ -33,11 +33,17 @@ and runs distributed partitioning across worker processes over TCP
 (see docs/cluster.md)::
 
     hyperpraw-repro worker --port 7101 --seed 11        # on each host
-    hyperpraw-repro cluster --hosts hostA:7101 hostB:7101 \
+    hyperpraw-repro cluster --hosts hostA:7101 hostB:7101 \\
         --stream-input big.hgr                          # on the coordinator
 
-Every command accepts the shared world parameters (``--nodes``,
-``--scale``, ``--seed``, ...) and prints the paper-style text rendering.
+Each command accepts only the flags it reads (``hyperpraw-repro
+<command> --help`` lists them), after the command name.  The partition
+knobs of ``stream`` and ``cluster`` (``--partitioner``, ``--kernel``,
+``--max-tracked-edges``, ...) are generated from
+:data:`repro.partitioning.families.PARTITION_KNOBS` and validated by
+:func:`~repro.partitioning.families.partition_spec`, exactly like the
+service's ``POST /v1/partitions`` parameters, and every run builds its
+partitioner with :func:`~repro.partitioning.families.build_partitioner`.
 The console script is installed by ``pip install -e .`` (see setup.py);
 ``python -m repro.experiments.cli`` works from a source tree.
 """
@@ -45,7 +51,9 @@ The console script is installed by ``pip install -e .`` (see setup.py);
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
+import time
 from pathlib import Path
 
 from repro.experiments import (
@@ -58,28 +66,33 @@ from repro.experiments import (
     figure6,
     table1,
 )
+from repro.partitioning.families import (
+    PARTITION_KNOBS,
+    build_partitioner,
+    partition_spec,
+)
+from repro.service import ServiceConfig
+from repro.utils.tables import format_kv
 
 __all__ = ["main", "build_parser"]
 
-_COMMANDS = (
-    "table1",
-    "figure1",
-    "figure3",
-    "figure4",
-    "figure5",
-    "figure6",
-    "ablations",
-    "stream",
-    "convert",
-    "serve",
-    "worker",
-    "cluster",
-    "all",
-)
+
+def _resolved(value: str) -> str:
+    """argparse type for path flags: normalise once, at parse time.
+
+    A relative path would otherwise resolve against the CWD at each
+    *use* site (``cached_stream`` calls ``store_dir_for`` per open, the
+    service resolves its cache at startup, a worker appends to its log
+    for its whole life), so a ``convert`` in one directory and a later
+    ``stream --cache`` from another would silently talk to different
+    stores.  Pinning the absolute path here makes the invocation
+    directory the one and only anchor.
+    """
+    return str(Path(value).expanduser().resolve())
 
 
 def _positive_int(value: str) -> int:
-    """argparse type for flags that must be >= 1 (e.g. ``--workers``)."""
+    """argparse type for ``serve --workers``: an integer >= 1."""
     try:
         parsed = int(value)
     except ValueError:
@@ -89,437 +102,322 @@ def _positive_int(value: str) -> int:
     return parsed
 
 
-def _resolved_dir(value: str) -> str:
-    """argparse type for directory flags: normalise once, at parse time.
+#: Every flag outside the partition knobs, declared once; _COMMANDS
+#: gives each command's parent parser the ones that command reads.
+_FLAGS = {
+    # the simulated world (ExperimentContext)
+    "--nodes": dict(
+        type=int, default=4, help="simulated ARCHER-like nodes (24 cores each)"
+    ),
+    "--scale": dict(type=float, help="dataset scale multiplier (default 1.0)"),
+    "--instances": dict(nargs="*", help="restrict to these suite instances"),
+    "--seed": dict(type=int, default=20190805, help="master seed"),
+    "--max-iterations": dict(
+        type=int, default=100, help="HyperPRAW restreaming cap"
+    ),
+    "--jobs": dict(type=int, default=3, help="simulated job allocations"),
+    "--iterations": dict(type=int, default=2, help="benchmark iterations per job"),
+    "--timesteps": dict(type=int, default=10, help="benchmark timesteps"),
+    "--message-bytes": dict(
+        type=int, default=1024, help="payload per logical message"
+    ),
+    "--sim-model": dict(
+        choices=("blocking", "overlap", "endpoint"),
+        default="blocking",
+        help="cluster simulator timing model",
+    ),
+    # the streamed input
+    "--stream-input": dict(
+        metavar="PATH",
+        help="an hMetis (.hgr/.hmetis) or MatrixMarket (.mtx) file, "
+        "partitioned out-of-core",
+    ),
+    "--chunk-size": dict(type=int, default=512, help="vertices per streamed chunk"),
+    "--pin-budget": dict(
+        type=int,
+        metavar="PINS",
+        help="cut streamed chunk boundaries by resident pins instead of "
+        "a fixed vertex count (hub-dominated graphs)",
+    ),
+    "--cache": dict(
+        type=_resolved,
+        metavar="DIR",
+        help="chunk-store cache directory for --stream-input: the first "
+        "run converts the file into a persistent binary store, later "
+        "runs replay it and skip the text parser entirely",
+    ),
+    "--buffer-fractions": dict(
+        type=float,
+        nargs="*",
+        help="comparison ladder: BufferedRestreamer windows as fractions "
+        "of |V| (default 0.125 0.5 1.0)",
+    ),
+    "--store": dict(
+        type=_resolved,
+        metavar="DIR",
+        help="output chunk-store directory (default: <input>.chunkstore "
+        "next to the input)",
+    ),
+    # the network, the service and the cluster
+    "--host": dict(default="127.0.0.1", help="bind address"),
+    "--port": dict(
+        type=int,
+        default=8080,
+        help="TCP port; 0 binds an ephemeral port (serve prints it; "
+        "worker logs it in the 'listening' event)",
+    ),
+    "--psk-file": dict(
+        type=_resolved,
+        metavar="PATH",
+        help="pre-shared key file enabling the mutual HMAC handshake; "
+        "worker and cluster must point at the same key "
+        "(docs/cluster.md, 'running on untrusted networks')",
+    ),
+    "--workers": dict(
+        type=_positive_int,
+        default=ServiceConfig.workers,
+        help="size of the async partition job pool",
+    ),
+    "--cache-dir": dict(
+        type=_resolved,
+        metavar="DIR",
+        help="persistent directory for digest-keyed chunk stores "
+        "(default: a private temp directory dropped on exit)",
+    ),
+    "--pool": dict(
+        choices=("auto", "process", "thread"),
+        default=ServiceConfig.pool,
+        help="partition job execution: one forked child per job "
+        "('process'), inline on worker threads ('thread'), or 'auto' "
+        "(process where fork exists)",
+    ),
+    "--max-queue-depth": dict(
+        type=int,
+        metavar="N",
+        help="refuse async partition jobs beyond N queued "
+        "(429 queue_full + Retry-After); default: unbounded",
+    ),
+    "--api-key-file": dict(
+        metavar="FILE",
+        help="require API keys, one per line ('#' comments); merged with "
+        "the REPRO_API_KEYS environment variable (comma-separated). "
+        "Without either, the service is open",
+    ),
+    "--rate-limit": dict(
+        type=float,
+        metavar="RPS",
+        help="per-key token-bucket rate limit in requests/second "
+        "(429 rate_limited beyond it; needs API keys); default: off",
+    ),
+    "--rate-burst": dict(
+        type=float,
+        default=ServiceConfig.rate_burst,
+        metavar="N",
+        help="token-bucket burst capacity per key",
+    ),
+    "--store-budget": dict(
+        type=int,
+        metavar="BYTES",
+        help="byte budget for the chunk-store directory; coldest unpinned "
+        "stores are LRU-evicted beyond it (evicted digests answer 409 "
+        "store_evicted until re-uploaded); default: unbounded",
+    ),
+    "--log-file": dict(
+        type=_resolved,
+        metavar="PATH",
+        help="append JSONL events here as well as stdout",
+    ),
+    "--hosts": dict(
+        nargs="+",
+        required=True,
+        metavar="HOST:PORT",
+        help="worker endpoints; each drives one shard",
+    ),
+    "--ship": dict(
+        choices=("chunks", "text"),
+        default="chunks",
+        help="ship decoded chunk frames per shard (default) or broadcast "
+        "the raw text for workers to ingest off the socket",
+    ),
+    "--timeout": dict(
+        type=float,
+        default=30.0,
+        help="per-socket-operation straggler timeout in seconds",
+    ),
+    "--on-loss": dict(
+        choices=("degrade", "fail"),
+        default="degrade",
+        help="on worker loss, reconnect-or-run-the-shard-locally "
+        "(default) or fail loudly",
+    ),
+    "--no-compress": dict(
+        action="store_true",
+        help="disable zlib frame compression (v2 sessions compress by "
+        "default; v1 peers never compress)",
+    ),
+    "--no-tailored": dict(
+        action="store_true",
+        help="broadcast full boundary snapshots instead of shipping each "
+        "worker only the rows its shard touches (results are "
+        "bit-identical)",
+    ),
+}
 
-    A relative directory would otherwise resolve against the CWD at each
-    *use* site (``cached_stream`` calls ``store_dir_for`` per open, the
-    service resolves its cache at startup), so a ``convert`` in one
-    directory and a later ``stream --cache`` from another would silently
-    talk to different stores.  Pinning the absolute path here makes the
-    invocation directory the one and only anchor.
-    """
-    return str(Path(value).expanduser().resolve())
+_SIMULATION = ("--timesteps", "--message-bytes", "--sim-model")
+_PARTITION_WORLD = (
+    "--nodes", "--scale", "--instances", "--seed", "--max-iterations"
+)
+_INPUT = ("--stream-input", "--chunk-size", "--pin-budget")
+_NETWORK = ("--host", "--port")
+
+#: command -> (summary, the flags it reads besides its partition knobs).
+_COMMANDS = {
+    "table1": ("Table 1: suite statistics", ("--scale", "--instances")),
+    "figure1": (
+        "Figure 1: architecture-blind benchmark on one job",
+        ("--nodes", "--scale", "--seed") + _SIMULATION,
+    ),
+    "figure3": (
+        "Figure 3: HyperPRAW stopping strategies",
+        ("--nodes", "--scale", "--seed", "--max-iterations"),
+    ),
+    "figure4": ("Figure 4: partition quality on the suite", _PARTITION_WORLD),
+    "figure5": (
+        "Figure 5: application runtime on the suite",
+        _PARTITION_WORLD + ("--jobs", "--iterations") + _SIMULATION,
+    ),
+    "figure6": (
+        "Figure 6: traffic against bandwidth on one job",
+        ("--nodes", "--scale", "--seed", "--max-iterations") + _SIMULATION,
+    ),
+    "ablations": ("HyperPRAW ablation sweeps", ("--nodes", "--scale", "--seed")),
+    "all": (
+        "table1 and figures 1-6",
+        _PARTITION_WORLD + ("--jobs", "--iterations") + _SIMULATION,
+    ),
+    "stream": (
+        "out-of-core streaming: the suite comparison ladder, or one "
+        "partitioner on suite instances or a file",
+        _PARTITION_WORLD + _INPUT + ("--cache", "--buffer-fractions"),
+    ),
+    "convert": (
+        "convert a text hypergraph into a binary chunk store",
+        _INPUT + ("--store",),
+    ),
+    "serve": (
+        "boot the streaming partition service",
+        _NETWORK + (
+            "--workers", "--cache-dir", "--pool", "--max-queue-depth",
+            "--api-key-file", "--rate-limit", "--rate-burst", "--store-budget",
+        ),
+    ),
+    "worker": (
+        "a cluster shard server",
+        _NETWORK + ("--seed", "--psk-file", "--log-file"),
+    ),
+    "cluster": (
+        "distributed partitioning over --hosts workers, one shard of the "
+        "--partitioner base (default onepass) per host",
+        _PARTITION_WORLD + _INPUT + (
+            "--cache", "--psk-file", "--hosts", "--ship", "--timeout",
+            "--on-loss", "--no-compress", "--no-tailored",
+        ),
+    ),
+}
+
+#: The partition knobs each command reads; ``--max-iterations`` is the
+#: world flag instead.  ``cluster`` runs the two bases a remote worker
+#: can rebuild (``_shard_spec``), one shard per host, without polish.
+_CLUSTER_BASES = ("onepass", "buffered")
+_KNOBS = {
+    "stream": tuple(k for k in PARTITION_KNOBS if k != "max_iterations"),
+    "cluster": (
+        "partitioner", "scorer", "gamma", "kernel", "shard_payload",
+        "shard_by", "buffer_fraction", "buffer_size", "max_tracked_edges",
+    ),
+}
+
+#: Knobs the ``stream`` comparison ladder does not read.
+_FAMILY_ONLY = (
+    "scorer", "gamma", "buffer_fraction", "buffer_size", "refine",
+    "refine_passes",
+)
 
 
-def _resolved_path(value: str) -> str:
-    """argparse type for file flags: same parse-time anchoring as
-    :func:`_resolved_dir` (a worker launched with a relative
-    ``--log-file`` must not scatter logs across whatever directory it
-    later runs from)."""
-    return str(Path(value).expanduser().resolve())
+def _parent(flags) -> argparse.ArgumentParser:
+    parent = argparse.ArgumentParser(add_help=False)
+    for flag in flags:
+        parent.add_argument(flag, **_FLAGS[flag])
+    return parent
 
 
-def _family_names() -> "tuple[str, ...]":
-    from repro.partitioning.families import family_names
-
-    return family_names()
+def _add_knobs(parser: argparse.ArgumentParser, names, choices: dict) -> None:
+    """One flag per partition knob; values stay strings for partition_spec."""
+    group = parser.add_argument_group(
+        "partition knobs",
+        "validated like the service's POST /v1/partitions parameters",
+    )
+    for name in names:
+        knob = PARTITION_KNOBS[name]
+        options = choices.get(name) or knob.options()
+        kwargs = dict(help=knob.description.format(choices=", ".join(options)))
+        if knob.default is not None and name != "partitioner":
+            kwargs["help"] += f" (default {knob.default})"
+        if knob.kind == "bool":
+            kwargs.update(nargs="?", const="1", metavar="{1,0}")
+        elif options:
+            kwargs["metavar"] = "{%s}" % ",".join(options)
+        group.add_argument("--" + name.replace("_", "-"), **kwargs)
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hyperpraw-repro",
-        description="Reproduce the tables and figures of the HyperPRAW paper (ICPP 2019).",
+        description="Reproduce the tables and figures of the HyperPRAW "
+        "paper (ICPP 2019).",
     )
-    parser.add_argument("command", choices=_COMMANDS, help="which artefact to regenerate")
-    parser.add_argument("--nodes", type=int, default=4, help="simulated ARCHER-like nodes (24 cores each)")
-    parser.add_argument("--scale", type=float, default=1.0, help="dataset scale multiplier")
-    parser.add_argument("--jobs", type=int, default=3, help="simulated job allocations")
-    parser.add_argument("--iterations", type=int, default=2, help="benchmark iterations per job")
-    parser.add_argument("--seed", type=int, default=20190805, help="master seed")
-    parser.add_argument("--timesteps", type=int, default=10, help="benchmark timesteps")
-    parser.add_argument("--message-bytes", type=int, default=1024, help="payload per logical message")
-    parser.add_argument(
-        "--sim-model",
-        choices=("blocking", "overlap", "endpoint"),
-        default="blocking",
-        help="cluster simulator timing model",
+    commands = parser.add_subparsers(
+        dest="command", required=True, metavar="command"
     )
-    parser.add_argument(
-        "--instances",
-        nargs="*",
-        default=None,
-        help="restrict to these suite instances (default: all ten)",
-    )
-    parser.add_argument(
-        "--max-iterations", type=int, default=100, help="HyperPRAW restreaming cap"
-    )
-    stream_group = parser.add_argument_group("stream", "out-of-core streaming scenario")
-    stream_group.add_argument(
-        "--chunk-size", type=int, default=512, help="vertices per streamed chunk"
-    )
-    stream_group.add_argument(
-        "--buffer-fractions",
-        type=float,
-        nargs="*",
-        default=(0.125, 0.5, 1.0),
-        help="BufferedRestreamer window sizes as fractions of |V|",
-    )
-    stream_group.add_argument(
-        "--max-tracked-edges",
-        type=int,
-        default=None,
-        help="cap on the streaming presence table (default: unbounded)",
-    )
-    stream_group.add_argument(
-        "--stream-input",
-        default=None,
-        metavar="PATH",
-        help="partition this hMetis (.hgr/.hmetis) or MatrixMarket (.mtx) "
-        "file out-of-core instead of running the suite comparison",
-    )
-    stream_group.add_argument(
-        "--workers",
-        type=_positive_int,
-        default=None,
-        help="stream/convert: parallel sharded streaming workers (>1 also "
-        "prints the worker-scaling report for suite instances; default 1). "
-        "serve: size of the async partition job pool (default 2)",
-    )
-    stream_group.add_argument(
-        "--shard-payload",
-        choices=("boundary", "full"),
-        default="boundary",
-        help="what sharded workers ship at the merge: only their locally "
-        "detected boundary presence-table rows (default) or whole tables "
-        "(same assignments, more bytes — for measurement)",
-    )
-    stream_group.add_argument(
-        "--shard-by",
-        choices=("pins", "chunks"),
-        default="pins",
-        help="'pins' (default) rebalances sharded worker ranges by "
-        "cumulative pin count when the uniform split would straggle; "
-        "'chunks' always splits by chunk count",
-    )
-    stream_group.add_argument(
-        "--kernel",
-        choices=("auto", "python", "njit"),
-        default="auto",
-        help="pass-kernel implementation: 'auto' (default) compiles the "
-        "dense vertex-exact inner loop with numba when installed "
-        "(pip install hyperpraw-repro[fast]), 'python' forces the "
-        "bit-for-bit reference loop, 'njit' requires the compiled "
-        "kernel and warns on fallback",
-    )
-    stream_group.add_argument(
-        "--partitioner",
-        choices=_family_names(),
-        default=None,
-        help="stream: run only this registered partitioner family on the "
-        "suite --instances or on --stream-input (default: the streaming "
-        "comparison ladder); the choices are the "
-        "repro.partitioning.families registry",
-    )
-    stream_group.add_argument(
-        "--refine",
-        action="store_true",
-        help="stream: polish each result with FM-style boundary "
-        "refinement (PolishedStreamer; works with any family)",
-    )
-    stream_group.add_argument(
-        "--refine-passes",
-        type=_positive_int,
-        default=4,
-        metavar="N",
-        help="maximum refinement propose/apply rounds (--refine)",
-    )
-    stream_group.add_argument(
-        "--pin-budget",
-        type=int,
-        default=None,
-        metavar="PINS",
-        help="cut streamed chunk boundaries by resident pins instead of "
-        "a fixed vertex count (hub-dominated graphs)",
-    )
-    stream_group.add_argument(
-        "--cache",
-        default=None,
-        type=_resolved_dir,
-        metavar="DIR",
-        help="chunk-store cache directory for --stream-input: the first "
-        "run converts the file into a persistent binary store, later "
-        "runs replay it and skip the text parser entirely (resolved "
-        "against the invocation directory once, at parse time)",
-    )
-    stream_group.add_argument(
-        "--store",
-        default=None,
-        type=_resolved_dir,
-        metavar="DIR",
-        help="convert: output chunk-store directory "
-        "(default: <input>.chunkstore next to the input)",
-    )
-    serve_group = parser.add_argument_group(
-        "serve", "streaming partition service (docs/service.md)"
-    )
-    serve_group.add_argument(
-        "--host",
-        default="127.0.0.1",
-        help="serve/worker: bind address (default 127.0.0.1)",
-    )
-    serve_group.add_argument(
-        "--port",
-        type=int,
-        default=8080,
-        help="serve/worker: TCP port; 0 binds an ephemeral port "
-        "(serve prints it; worker logs it in the 'listening' event)",
-    )
-    serve_group.add_argument(
-        "--cache-dir",
-        default=None,
-        type=_resolved_dir,
-        metavar="DIR",
-        help="serve: persistent directory for digest-keyed chunk stores "
-        "(default: a private temp directory dropped on exit); --workers "
-        "sets the partition worker pool",
-    )
-    serve_group.add_argument(
-        "--pool",
-        choices=("auto", "process", "thread"),
-        default="auto",
-        help="serve: partition job execution — one forked child per job "
-        "('process': N concurrent jobs use N cores), inline on worker "
-        "threads ('thread'), or 'auto' (default: process where fork "
-        "exists)",
-    )
-    serve_group.add_argument(
-        "--max-queue-depth",
-        type=int,
-        default=None,
-        metavar="N",
-        help="serve: refuse async partition jobs beyond N queued "
-        "(429 queue_full + Retry-After); default: unbounded",
-    )
-    serve_group.add_argument(
-        "--api-key-file",
-        default=None,
-        metavar="FILE",
-        help="serve: require API keys, one per line ('#' comments); "
-        "merged with the REPRO_API_KEYS environment variable "
-        "(comma-separated). Without either, the service is open",
-    )
-    serve_group.add_argument(
-        "--rate-limit",
-        type=float,
-        default=None,
-        metavar="RPS",
-        help="serve: per-key token-bucket rate limit in requests/second "
-        "(429 rate_limited beyond it; needs API keys); default: off",
-    )
-    serve_group.add_argument(
-        "--rate-burst",
-        type=float,
-        default=10.0,
-        metavar="N",
-        help="serve: token-bucket burst capacity per key (default 10)",
-    )
-    serve_group.add_argument(
-        "--store-budget",
-        type=int,
-        default=None,
-        metavar="BYTES",
-        help="serve: byte budget for the chunk-store directory; coldest "
-        "unpinned stores are LRU-evicted beyond it (evicted digests "
-        "answer 409 store_evicted until re-uploaded); default: unbounded",
-    )
-    cluster_group = parser.add_argument_group(
-        "cluster", "multi-node distributed partitioning (docs/cluster.md)"
-    )
-    cluster_group.add_argument(
-        "--hosts",
-        nargs="+",
-        default=None,
-        metavar="HOST:PORT",
-        help="cluster: worker endpoints; each drives one shard "
-        "(the worker count is the endpoint count)",
-    )
-    cluster_group.add_argument(
-        "--ship",
-        choices=("chunks", "text"),
-        default="chunks",
-        help="cluster: ship decoded chunk frames per shard (default) or "
-        "broadcast the raw text for workers to ingest off the socket",
-    )
-    cluster_group.add_argument(
-        "--timeout",
-        type=float,
-        default=30.0,
-        help="cluster: per-socket-operation straggler timeout in seconds",
-    )
-    cluster_group.add_argument(
-        "--on-loss",
-        choices=("degrade", "fail"),
-        default="degrade",
-        help="cluster: on worker loss, reconnect-or-run-the-shard-locally "
-        "(default) or fail loudly",
-    )
-    cluster_group.add_argument(
-        "--cluster-base",
-        choices=("onepass", "buffered"),
-        default="onepass",
-        help="cluster: base streaming partitioner run on each worker",
-    )
-    cluster_group.add_argument(
-        "--log-file",
-        default=None,
-        type=_resolved_path,
-        metavar="PATH",
-        help="worker: append JSONL events here as well as stdout "
-        "(resolved against the invocation directory at parse time)",
-    )
-    cluster_group.add_argument(
-        "--psk-file",
-        default=None,
-        type=_resolved_path,
-        metavar="PATH",
-        help="worker/cluster: pre-shared key file enabling the mutual "
-        "HMAC handshake; both ends must point at the same key "
-        "(docs/cluster.md, 'running on untrusted networks')",
-    )
-    cluster_group.add_argument(
-        "--no-compress",
-        action="store_true",
-        help="cluster: disable zlib frame compression (v2 sessions "
-        "compress by default; v1 peers never compress)",
-    )
-    cluster_group.add_argument(
-        "--no-tailored",
-        action="store_true",
-        help="cluster: broadcast full boundary snapshots instead of "
-        "shipping each worker only the rows its shard touches "
-        "(the pre-v2 wire behaviour; results are bit-identical)",
-    )
+    for name, (summary, flags) in _COMMANDS.items():
+        sub = commands.add_parser(
+            name, help=summary, description=summary, parents=[_parent(flags)]
+        )
+        sub.set_defaults(parser=sub)
+        if name in _KNOBS:
+            bases = {"partitioner": _CLUSTER_BASES} if name == "cluster" else {}
+            _add_knobs(sub, _KNOBS[name], bases)
     return parser
 
 
 def context_from_args(args) -> ExperimentContext:
+    """The command's world: its world flags over the context defaults."""
+    renamed = {"nodes": "num_nodes", "jobs": "num_jobs"}
+    fields = {f.name for f in dataclasses.fields(ExperimentContext)}
+    world = {renamed.get(flag, flag): value for flag, value in vars(args).items()}
     return ExperimentContext(
-        num_nodes=args.nodes,
-        scale=args.scale,
-        num_jobs=args.jobs,
-        iterations=args.iterations,
-        seed=args.seed,
-        instances=args.instances,
-        message_bytes=args.message_bytes,
-        timesteps=args.timesteps,
-        sim_model=args.sim_model,
-        max_iterations=args.max_iterations,
+        **{k: v for k, v in world.items() if k in fields and v is not None}
     )
 
 
-def _run_stream(ctx: ExperimentContext, args) -> str:
-    """The ``stream`` command: streamed-vs-in-memory comparison or a real
-    out-of-core partition of a user-supplied file."""
-    from repro.bench.streaming import compare_sharded, compare_streaming
-    from repro.hypergraph.suite import STREAMING_INSTANCE, load_instance
+def _spec(args, **fixed) -> dict:
+    """The validated partition spec from this command's knob flags.
 
-    if args.stream_input:
-        return _stream_file(ctx, args)
-    names = ctx.instances if ctx.instances else [STREAMING_INSTANCE]
-    job = ctx.one_job()
-    if args.partitioner:
-        return _stream_family(ctx, args, names, job)
-    reports = []
-    for name in names:
-        hg = load_instance(name, scale=ctx.scale)
-        report = compare_streaming(
-            hg,
-            ctx.num_parts,
-            cost_matrix=job.cost_matrix,
-            chunk_size=args.chunk_size,
-            buffer_fractions=tuple(args.buffer_fractions),
-            pin_budget=args.pin_budget,
-            max_tracked_edges=args.max_tracked_edges,
-            max_iterations=ctx.max_iterations,
-            kernel=args.kernel,
-            seed=ctx.seed,
-        )
-        reports.append(report.render())
-        if args.workers > 1:
-            ladder = tuple(sorted({1, args.workers}))
-            sharded = compare_sharded(
-                hg,
-                ctx.num_parts,
-                workers=ladder,
-                cost_matrix=job.cost_matrix,
-                chunk_size=args.chunk_size,
-                pin_budget=args.pin_budget,
-                max_tracked_edges=args.max_tracked_edges,
-                max_iterations=ctx.max_iterations,
-                payload=args.shard_payload,
-                shard_by=args.shard_by,
-                kernel=args.kernel,
-                seed=ctx.seed,
-            )
-            reports.append(sharded.render())
-    return "\n\n".join(reports)
-
-
-def _stream_family(ctx: ExperimentContext, args, names, job) -> str:
-    """Run one registered family (``--partitioner``) on suite instances.
-
-    The default-configuration factory from the registry is used, so the
-    printout matches what the invariant matrix and BENCH_FAMILIES pin;
-    ``--refine`` attaches the FM polish exactly as the service's
-    ``refine=1`` knob does.
+    ``--max-iterations`` (the world flag) fills the ``max_iterations``
+    knob; ``fixed`` overrides flags.  A bad value exits 2 with the
+    message the service answers with a 400.
     """
-    from repro.core.metrics import evaluate_partition
-    from repro.hypergraph.suite import load_instance
-    from repro.partitioning.families import (
-        PolishedStreamer,
-        RefineConfig,
-        get_family,
-    )
-    from repro.utils.tables import format_kv
-
-    spec = get_family(args.partitioner)
-    label = spec.name + ("+fm" if args.refine else "")
-    sections = []
-    for name in names:
-        hg = load_instance(name, scale=ctx.scale)
-        partitioner = spec.make(hg, args.workers)
-        if args.refine:
-            partitioner = PolishedStreamer(
-                partitioner,
-                refine=RefineConfig(
-                    passes=args.refine_passes, workers=args.workers
-                ),
-            )
-        result = partitioner.partition(
-            hg, ctx.num_parts, cost_matrix=job.cost_matrix, seed=ctx.seed
-        )
-        quality = evaluate_partition(
-            hg, result.assignment, ctx.num_parts, job.cost_matrix
-        )
-        md = result.metadata
-        sections.append(
-            format_kv(
-                {
-                    "vertices": hg.num_vertices,
-                    "hyperedges": hg.num_edges,
-                    "pins": hg.num_pins,
-                    "hyperedge cut": quality.hyperedge_cut,
-                    "pc cost": quality.pc_cost,
-                    "imbalance": round(quality.imbalance, 4),
-                    "wall time [s]": md.get("wall_time_s"),
-                    **(
-                        {
-                            "refined cut": "%s -> %s"
-                            % (
-                                md.get("refine_cut_before"),
-                                md.get("refine_cut_after"),
-                            ),
-                            "refine moves": md.get("refine_moves"),
-                        }
-                        if md.get("refined")
-                        else {}
-                    ),
-                },
-                title=f"{label} — {name} -> {ctx.num_parts} parts",
-            )
-        )
-    return "\n\n".join(sections)
+    raw = {
+        name: getattr(args, name)
+        for name in _KNOBS[args.command]
+        if getattr(args, name) is not None
+    }
+    raw["max_iterations"] = str(args.max_iterations)
+    raw.update(fixed)
+    try:
+        return partition_spec(raw)
+    except ValueError as exc:
+        args.parser.error(str(exc))
 
 
 def _opener_for(path: Path):
@@ -529,170 +427,183 @@ def _opener_for(path: Path):
     return stream_matrix_market if path.suffix.lower() == ".mtx" else stream_hmetis
 
 
-def _open_input(path: Path, args):
-    """Open ``path`` as a chunk stream, through the store cache when asked.
+def _open_streams(ctx: ExperimentContext, args):
+    """Yield ``(stream, via)``: the ``--stream-input`` file, or each suite
+    instance (default: the streaming stress instance) as a chunk stream.
 
-    Returns ``(stream, via)``; ``via`` says whether the text parser ran
-    (``"text ingest"``), the file was converted into the cache
-    (``"chunk store (converted)"``) or a cached store was replayed with
-    the parser skipped entirely (``"chunk store (replayed)"``).
+    ``via`` says whether the text parser ran (``"text ingest"``), the
+    file was converted into the ``--cache`` store (``"chunk store
+    (converted)"``), a cached store was replayed with the parser skipped
+    entirely (``"chunk store (replayed)"``) or the instance is resident
+    (``"suite instance"``).
     """
-    opener = _opener_for(path)
+    from repro.hypergraph.suite import STREAMING_INSTANCE, load_instance
+    from repro.streaming import HypergraphChunkStream
+    from repro.streaming.chunkstore import cached_stream
+
     kwargs = dict(chunk_size=args.chunk_size, pin_budget=args.pin_budget)
-    if args.cache:
-        from repro.streaming.chunkstore import cached_stream
+    if args.stream_input:
+        if args.instances is not None or args.scale is not None:
+            args.parser.error(
+                "--instances and --scale pick suite instances; "
+                "--stream-input partitions the file as it is"
+            )
+        path = Path(args.stream_input)
+        opener = _opener_for(path)
+        if args.cache:
+            stream, hit = cached_stream(path, args.cache, opener=opener, **kwargs)
+            yield stream, f"chunk store ({'replayed' if hit else 'converted'})"
+        else:
+            yield opener(path, **kwargs), "text ingest"
+        return
+    for name in ctx.instances or [STREAMING_INSTANCE]:
+        hg = load_instance(name, scale=ctx.scale)
+        yield HypergraphChunkStream(hg, **kwargs), "suite instance"
 
-        stream, hit = cached_stream(path, args.cache, opener=opener, **kwargs)
-        via = "chunk store (replayed)" if hit else "chunk store (converted)"
-        return stream, via
-    return opener(path, **kwargs), "text ingest"
 
+def _run_stream(ctx: ExperimentContext, args) -> str:
+    """The ``stream`` command.
 
-def _stream_file(ctx: ExperimentContext, args) -> str:
-    """Partition a file out-of-core and summarise the bounded-state run."""
-    from repro.streaming import BufferedRestreamer, OnePassStreamer
-    from repro.core.config import HyperPRAWConfig
-    from repro.utils.tables import format_kv
-
-    path = Path(args.stream_input)
+    With neither ``--partitioner`` nor ``--stream-input`` it prints the
+    streamed-vs-in-memory comparison ladder; otherwise it runs the
+    chosen partitioner (default: ``onepass`` and ``buffered``) on the
+    suite instances or on the file.
+    """
+    if args.partitioner is None and args.stream_input is None:
+        return _stream_ladder(ctx, args)
+    if args.buffer_fractions is not None:
+        args.parser.error(
+            "--buffer-fractions sizes the comparison ladder's windows; "
+            "use --buffer-fraction with --partitioner or --stream-input"
+        )
+    names = [args.partitioner] if args.partitioner else ["onepass", "buffered"]
+    specs = [_spec(args, partitioner=name) for name in names]
     job = ctx.one_job()
     sections = []
-
-    def buffered(stream):
-        # Keep the demo honestly out-of-core: window the first listed
-        # buffer fraction of the vertex set rather than everything.
-        fractions = tuple(args.buffer_fractions) or (0.125,)
-        buffer = max(1, int(round(fractions[0] * stream.num_vertices)))
-        return BufferedRestreamer(
-            HyperPRAWConfig(
-                max_iterations=ctx.max_iterations,
-                record_history=False,
-                shard_payload=args.shard_payload,
-                shard_by=args.shard_by,
-                kernel=args.kernel,
-            ),
-            buffer_size=buffer,
-            max_tracked_edges=args.max_tracked_edges,
-            workers=args.workers,
-        )
-
-    if args.partitioner:
-        from repro.partitioning.families import build_partitioner
-
-        fractions = tuple(args.buffer_fractions) or (0.125,)
-        spec = {
-            "partitioner": args.partitioner,
-            "scorer": "eq1",
-            "gamma": 1.5,
-            "kernel": args.kernel,
-            "workers": args.workers,
-            "shard_payload": args.shard_payload,
-            "shard_by": args.shard_by,
-            "buffer_fraction": fractions[0],
-            "buffer_size": None,
-            "max_tracked_edges": args.max_tracked_edges,
-            "max_iterations": ctx.max_iterations,
-            "refine": args.refine,
-            "refine_passes": args.refine_passes,
-        }
-        contenders = [
-            (
-                args.partitioner + ("+fm" if args.refine else ""),
-                lambda stream: build_partitioner(spec, stream.num_vertices),
-            )
-        ]
-    else:
-        contenders = [
-            (
-                "stream-onepass",
-                lambda stream: OnePassStreamer(
-                    max_tracked_edges=args.max_tracked_edges,
-                    workers=args.workers,
-                    shard_payload=args.shard_payload,
-                    shard_by=args.shard_by,
-                    kernel=args.kernel,
-                ),
-            ),
-            ("stream-buffered", buffered),
-        ]
-        if args.refine:
-            from repro.partitioning.families import (
-                PolishedStreamer,
-                RefineConfig,
-            )
-
-            contenders = [
-                (
-                    label + "+fm",
-                    lambda stream, make=make: PolishedStreamer(
-                        make(stream),
-                        refine=RefineConfig(
-                            passes=args.refine_passes, workers=args.workers
-                        ),
-                    ),
-                )
-                for label, make in contenders
-            ]
-
-    # One open serves every contender: streams are re-iterable, and a
+    # One open serves every partitioner: streams are re-iterable, and a
     # cached run then hashes/validates the source exactly once.
-    stream, via = _open_input(path, args)
-    with stream:
-        for label, make_partitioner in contenders:
-            result = make_partitioner(stream).partition_stream(
-                stream, ctx.num_parts, cost_matrix=job.cost_matrix, seed=ctx.seed
-            )
-            md = result.metadata
-            sections.append(
-                format_kv(
-                    {
-                        "input": via,
-                        "vertices": stream.num_vertices,
-                        "hyperedges": stream.num_edges,
-                        "pins": stream.num_pins,
-                        "peak resident pins": stream.peak_resident_pins,
-                        "peak tracked edges": md.get("peak_tracked_edges"),
-                        "evictions": md.get("evictions"),
-                        "monitored pc cost": md.get(
-                            "monitored_pc_cost", md.get("final_pc_cost")
-                        ),
-                        "kernel mode": md.get("kernel_mode"),
-                        "kernel seconds": md.get("pass_seconds"),
-                        "wall time [s]": md.get("wall_time_s"),
-                        **(
-                            {
-                                "refined cut": "%s -> %s"
-                                % (
-                                    md.get("refine_cut_before"),
-                                    md.get("refine_cut_after"),
-                                ),
-                                "refine moves": md.get("refine_moves"),
-                            }
-                            if md.get("refined")
-                            else {}
-                        ),
-                    },
-                    title=f"{label} — {stream.name} -> {ctx.num_parts} parts",
+    for stream, via in _open_streams(ctx, args):
+        with stream:
+            for spec in specs:
+                result = build_partitioner(
+                    spec, stream.num_vertices
+                ).partition_stream(
+                    stream, ctx.num_parts, cost_matrix=job.cost_matrix,
+                    seed=ctx.seed,
                 )
-            )
+                sections.append(_stream_summary(ctx, job, stream, via, result))
     return "\n\n".join(sections)
 
 
-def _run_convert(ctx: ExperimentContext, args) -> str:
+def _stream_summary(ctx: ExperimentContext, job, stream, via, result) -> str:
+    """One partition run over a chunk stream, as a ``key : value`` block.
+
+    A suite instance is resident anyway, so its assignment is also
+    scored on the whole hypergraph (cut, PC cost, imbalance).
+    """
+    from repro.core.metrics import evaluate_partition
+
+    md = result.metadata
+    rows = {
+        "input": via,
+        "vertices": stream.num_vertices,
+        "hyperedges": stream.num_edges,
+        "pins": stream.num_pins,
+    }
+    hg = getattr(stream, "hg", None)
+    if hg is not None:
+        quality = evaluate_partition(
+            hg, result.assignment, ctx.num_parts, job.cost_matrix
+        )
+        rows["hyperedge cut"] = quality.hyperedge_cut
+        rows["pc cost"] = quality.pc_cost
+        rows["imbalance"] = round(quality.imbalance, 4)
+    rows.update(
+        {
+            "peak resident pins": stream.peak_resident_pins,
+            "peak tracked edges": md.get("peak_tracked_edges"),
+            "evictions": md.get("evictions"),
+            "monitored pc cost": md.get(
+                "monitored_pc_cost", md.get("final_pc_cost")
+            ),
+            "kernel mode": md.get("kernel_mode"),
+            "kernel seconds": md.get("pass_seconds"),
+            "wall time [s]": md.get("wall_time_s"),
+        }
+    )
+    if md.get("refined"):
+        rows["refined cut"] = "%s -> %s" % (
+            md.get("refine_cut_before"),
+            md.get("refine_cut_after"),
+        )
+        rows["refine moves"] = md.get("refine_moves")
+    return format_kv(
+        rows,
+        title=f"{result.algorithm} — {stream.name} -> {ctx.num_parts} parts",
+    )
+
+
+def _stream_ladder(ctx: ExperimentContext, args) -> str:
+    """Streamed-vs-in-memory comparison on suite instances (plus the
+    worker-scaling report when ``--workers`` > 1)."""
+    from repro.bench.streaming import compare_sharded, compare_streaming
+    from repro.hypergraph.suite import STREAMING_INSTANCE, load_instance
+
+    for name in _FAMILY_ONLY:
+        if getattr(args, name) is not None:
+            args.parser.error(
+                f"--{name.replace('_', '-')} needs --partitioner or "
+                "--stream-input (the comparison ladder does not read it)"
+            )
+    spec = _spec(args)
+    fractions = (
+        (0.125, 0.5, 1.0)
+        if args.buffer_fractions is None
+        else tuple(args.buffer_fractions)
+    )
+    job = ctx.one_job()
+    common = dict(
+        cost_matrix=job.cost_matrix,
+        chunk_size=args.chunk_size,
+        pin_budget=args.pin_budget,
+        max_tracked_edges=spec["max_tracked_edges"],
+        max_iterations=ctx.max_iterations,
+        kernel=spec["kernel"],
+        seed=ctx.seed,
+    )
+    reports = []
+    for name in ctx.instances or [STREAMING_INSTANCE]:
+        hg = load_instance(name, scale=ctx.scale)
+        reports.append(
+            compare_streaming(
+                hg, ctx.num_parts, buffer_fractions=fractions, **common
+            ).render()
+        )
+        if spec["workers"] > 1:
+            reports.append(
+                compare_sharded(
+                    hg,
+                    ctx.num_parts,
+                    workers=(1, spec["workers"]),
+                    payload=spec["shard_payload"],
+                    shard_by=spec["shard_by"],
+                    **common,
+                ).render()
+            )
+    return "\n\n".join(reports)
+
+
+def _run_convert(args) -> str:
     """The ``convert`` command: text file -> persistent binary chunk store.
 
     Ingests once through the matching text parser, saves the store, then
     times one memory-mapped replay pass so the printout shows what later
     restreams will cost (see docs/formats.md for the on-disk layout).
     """
-    import time
-
     from repro.streaming.chunkstore import open_store
-    from repro.utils.tables import format_kv
 
-    del ctx  # convert is purely an I/O transform; world params are moot
     if not args.stream_input:
-        raise SystemExit("convert requires --stream-input PATH")
+        args.parser.error("convert requires --stream-input PATH")
     path = Path(args.stream_input)
     store_dir = (
         Path(args.store)
@@ -734,41 +645,39 @@ def _run_convert(ctx: ExperimentContext, args) -> str:
 def _run_serve(args) -> int:
     """The ``serve`` command: boot the streaming partition service.
 
-    Blocks until interrupted.  ``--workers`` (the shared flag) sizes the
-    async partition worker pool, defaulting to the service's own default
-    (2) when not passed; per-request sharded streaming still rides on
-    the ``workers=`` query parameter (docs/service.md).
+    Blocks until interrupted.  ``--workers`` sizes the async partition
+    job pool; per-request sharded streaming rides on the ``workers=``
+    query parameter (docs/service.md).
     """
-    from repro.service import ServiceConfig, serve
+    from repro.service import serve
     from repro.service.admission import keys_from_env, load_key_file
 
-    kwargs = dict(
-        host=args.host,
-        port=args.port,
-        cache_dir=args.cache_dir,
-        pool=args.pool,
-        max_queue_depth=args.max_queue_depth,
-        rate_limit=args.rate_limit,
-        rate_burst=args.rate_burst,
-        store_budget_bytes=args.store_budget,
-    )
     keys = keys_from_env()
     if args.api_key_file is not None:
         keys = tuple(dict.fromkeys(load_key_file(args.api_key_file) + keys))
-    kwargs["api_keys"] = keys
-    if args.workers is not None:
-        kwargs["workers"] = args.workers
-    return serve(ServiceConfig(**kwargs))
+    return serve(
+        ServiceConfig(
+            host=args.host,
+            port=args.port,
+            cache_dir=args.cache_dir,
+            workers=args.workers,
+            pool=args.pool,
+            max_queue_depth=args.max_queue_depth,
+            api_keys=keys,
+            rate_limit=args.rate_limit,
+            rate_burst=args.rate_burst,
+            store_budget_bytes=args.store_budget,
+        )
+    )
 
 
 def _run_worker(args) -> int:
     """The ``worker`` command: a long-lived cluster shard server.
 
     Blocks until a coordinator sends a ``shutdown`` frame or the process
-    is interrupted.  Shares ``--host``/``--port`` with ``serve`` (port 0
-    binds an ephemeral port; the bound port is in the ``listening`` JSONL
-    event on stdout) and ``--seed`` with everything else — the handshake
-    cross-checks it against the coordinator's seed (docs/cluster.md).
+    is interrupted.  Port 0 binds an ephemeral port (the bound port is
+    in the ``listening`` JSONL event on stdout); the handshake
+    cross-checks ``--seed`` against the coordinator's (docs/cluster.md).
     """
     from repro.cluster import ClusterWorker
     from repro.cluster.protocol import load_psk
@@ -790,73 +699,39 @@ def _run_worker(args) -> int:
 def _run_cluster(ctx: ExperimentContext, args) -> str:
     """The ``cluster`` command: distributed partitioning over ``--hosts``.
 
-    Each endpoint drives one shard; loopback runs are bit-identical to
-    ``stream --workers N`` on the same inputs (docs/cluster.md).  With
-    ``--stream-input`` the file is partitioned out-of-core; otherwise the
-    suite streaming instance (or ``--instances``) is used.
+    Each endpoint drives one shard of the ``--partitioner`` base; loopback
+    runs are bit-identical to forked sharding on the same inputs
+    (docs/cluster.md).  With ``--stream-input`` the file is partitioned
+    out-of-core; otherwise the suite streaming instance (or
+    ``--instances``) is used.
     """
-    import time
-
     from repro.cluster import DistributedStreamer
-    from repro.core.config import HyperPRAWConfig
-    from repro.hypergraph.suite import STREAMING_INSTANCE, load_instance
-    from repro.streaming import (
-        BufferedRestreamer,
-        HypergraphChunkStream,
-        OnePassStreamer,
-    )
-    from repro.utils.tables import format_kv
-
-    if not args.hosts:
-        raise SystemExit("cluster requires --hosts HOST:PORT [HOST:PORT ...]")
-    job = ctx.one_job()
-
-    def open_streams():
-        if args.stream_input:
-            stream, via = _open_input(Path(args.stream_input), args)
-            yield stream, via
-            return
-        names = ctx.instances if ctx.instances else [STREAMING_INSTANCE]
-        for name in names:
-            hg = load_instance(name, scale=ctx.scale)
-            yield HypergraphChunkStream(
-                hg, args.chunk_size, pin_budget=args.pin_budget
-            ), "suite instance"
-
-    if args.cluster_base == "buffered":
-        base = BufferedRestreamer(
-            HyperPRAWConfig(
-                max_iterations=ctx.max_iterations,
-                record_history=False,
-                kernel=args.kernel,
-            ),
-            max_tracked_edges=args.max_tracked_edges,
-            workers=1,
-        )
-    else:
-        base = OnePassStreamer(
-            max_tracked_edges=args.max_tracked_edges,
-            workers=1,
-            kernel=args.kernel,
-        )
     from repro.cluster.protocol import load_psk
 
-    streamer = DistributedStreamer(
-        base,
-        hosts=args.hosts,
-        ship=args.ship,
-        timeout=args.timeout,
-        on_loss=args.on_loss,
-        chunk_size=args.chunk_size,
-        payload=args.shard_payload,
-        shard_by=args.shard_by,
-        compress=not args.no_compress,
-        tailored=not args.no_tailored,
-        psk=load_psk(args.psk_file) if args.psk_file else None,
-    )
+    spec = _spec(args)
+    if spec["partitioner"] not in _CLUSTER_BASES:
+        args.parser.error(
+            f"partitioner must be one of {', '.join(_CLUSTER_BASES)}, "
+            f"got {spec['partitioner']!r}"
+        )
+    psk = load_psk(args.psk_file) if args.psk_file else None
+    job = ctx.one_job()
     sections = []
-    for stream, via in open_streams():
+    for stream, via in _open_streams(ctx, args):
         with stream:
+            streamer = DistributedStreamer(
+                build_partitioner(spec, stream.num_vertices),
+                hosts=args.hosts,
+                ship=args.ship,
+                timeout=args.timeout,
+                on_loss=args.on_loss,
+                chunk_size=args.chunk_size,
+                payload=spec["shard_payload"],
+                shard_by=spec["shard_by"],
+                compress=not args.no_compress,
+                tailored=not args.no_tailored,
+                psk=psk,
+            )
             t0 = time.perf_counter()
             result = streamer.partition_stream(
                 stream, ctx.num_parts, cost_matrix=job.cost_matrix,
@@ -886,7 +761,7 @@ def _run_cluster(ctx: ExperimentContext, args) -> str:
                         "wall time [s]": wall,
                     },
                     title=(
-                        f"cluster/{args.cluster_base} — {stream.name} -> "
+                        f"cluster/{spec['partitioner']} — {stream.name} -> "
                         f"{ctx.num_parts} parts"
                     ),
                 )
@@ -914,8 +789,8 @@ def main(argv: "list[str] | None" = None) -> int:
         return _run_serve(args)
     if args.command == "worker":
         return _run_worker(args)
-    if args.workers is None:
-        args.workers = 1  # sequential-streaming default for stream/convert
+    if getattr(args, "cache", None) and not args.stream_input:
+        args.parser.error("--cache needs --stream-input")
     ctx = context_from_args(args)
     runners = {
         "table1": lambda: table1.run(ctx).render(),
@@ -926,7 +801,7 @@ def main(argv: "list[str] | None" = None) -> int:
         "figure6": lambda: figure6.run(ctx).render(),
         "ablations": lambda: _run_ablations(ctx),
         "stream": lambda: _run_stream(ctx, args),
-        "convert": lambda: _run_convert(ctx, args),
+        "convert": lambda: _run_convert(args),
         "cluster": lambda: _run_cluster(ctx, args),
     }
     if args.command == "all":

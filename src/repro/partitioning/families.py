@@ -35,7 +35,12 @@ The :data:`PARTITIONERS` registry is the single source of truth for
 "what can the repo run": the service validates ``partitioner=`` against
 it, the OpenAPI enum is generated from it, the ``stream`` CLI offers it,
 and ``tests/test_invariants.py`` introspects it so every registered
-family gets the randomized invariant matrix automatically.
+family gets the randomized invariant matrix automatically.  Beside it,
+:data:`PARTITION_KNOBS` declares every knob that shapes a run (name,
+type, choices or bounds, default, description) once:
+:func:`partition_spec` validates raw strings against it for the
+service and the CLI, the OpenAPI parameters are generated from it, and
+:func:`build_partitioner` turns the validated spec into a partitioner.
 """
 
 from __future__ import annotations
@@ -68,12 +73,15 @@ from repro.engine import (
     shard_ranges_by_pins,
 )
 from repro.hypergraph.model import Hypergraph
-from repro.streaming.reader import DEFAULT_CHUNK_SIZE
+from repro.streaming.reader import DEFAULT_CHUNK_SIZE, assemble
 from repro.streaming.state import StreamingState, resolve_cost_matrix
 
 __all__ = [
     "FamilySpec",
     "PARTITIONERS",
+    "Knob",
+    "PARTITION_KNOBS",
+    "partition_spec",
     "family_names",
     "get_family",
     "build_partitioner",
@@ -84,49 +92,7 @@ __all__ = [
     "refine_partition",
     "refine_blocks",
     "PolishedStreamer",
-    "materialise_stream",
 ]
-
-
-def materialise_stream(stream) -> Hypergraph:
-    """Rebuild an in-memory :class:`Hypergraph` from a vertex chunk stream.
-
-    The chunks carry the vertex-major CSR (per-vertex incident-edge
-    lists); the edge-major direction is recovered with one stable sort.
-    This is the adapter that lets an inherently in-memory family (HYPE
-    needs random access for its fringe) serve the same replayed chunk
-    stores as the out-of-core streamers.
-    """
-    degs_parts, edges_parts, weights_parts = [], [], []
-    for chunk in stream:
-        degs_parts.append(np.diff(np.asarray(chunk.vertex_ptr, dtype=np.int64)))
-        edges_parts.append(np.asarray(chunk.vertex_edges, dtype=np.int64).copy())
-        weights_parts.append(
-            np.asarray(chunk.vertex_weights, dtype=np.float64).copy()
-        )
-    degs = (
-        np.concatenate(degs_parts) if degs_parts else np.empty(0, dtype=np.int64)
-    )
-    vertex_edges = (
-        np.concatenate(edges_parts)
-        if edges_parts
-        else np.empty(0, dtype=np.int64)
-    )
-    pins_vertex = np.repeat(
-        np.arange(stream.num_vertices, dtype=np.int64), degs
-    )
-    order = np.argsort(vertex_edges, kind="stable")
-    edge_counts = np.bincount(vertex_edges, minlength=stream.num_edges)
-    edge_ptr = np.zeros(stream.num_edges + 1, dtype=np.int64)
-    np.cumsum(edge_counts, out=edge_ptr[1:])
-    return Hypergraph.from_csr_arrays(
-        stream.num_vertices,
-        edge_ptr,
-        pins_vertex[order],
-        vertex_weights=np.concatenate(weights_parts) if weights_parts else None,
-        edge_weights=stream.edge_weights,
-        name=getattr(stream, "name", "stream"),
-    )
 
 
 # ----------------------------------------------------------------------
@@ -314,12 +280,12 @@ class NeighborhoodExpansion(Partitioner):
         """Serve a chunk stream by materialising it first.
 
         HYPE needs random access for its fringe; replayed chunk stores
-        are rebuilt into an in-memory hypergraph (one pass, vectorised)
-        and partitioned there.  ``peak_resident_pins`` consequently
-        reports the full pin count — the honest number for a family that
-        is not out-of-core.
+        are rebuilt into an in-memory hypergraph
+        (:func:`~repro.streaming.reader.assemble`) and partitioned
+        there.  ``peak_resident_pins`` consequently reports the full pin
+        count — the honest number for a family that is not out-of-core.
         """
-        hg = materialise_stream(stream)
+        hg = assemble(stream)
         result = self.partition(
             hg, num_parts, cost_matrix=cost_matrix, seed=seed
         )
@@ -1013,8 +979,7 @@ class FamilySpec:
         one-line description (docs, CLI help).
     build:
         ``(spec, num_vertices) -> Partitioner`` — instantiate from a
-        validated service request spec (see
-        ``repro.service.handlers._partition_spec``).
+        spec validated by :func:`partition_spec`.
     make:
         ``(hg, workers) -> Partitioner`` — the default-configuration
         factory the invariant matrix and benches use (``hg`` sizes
@@ -1217,8 +1182,135 @@ def get_family(name: str) -> FamilySpec:
         ) from None
 
 
+# ----------------------------------------------------------------------
+# the partition knobs
+# ----------------------------------------------------------------------
+@dataclass(frozen=True)
+class Knob:
+    """One partition knob: a service query parameter, the OpenAPI
+    parameter generated from it and the CLI flag generated from it.
+
+    ``kind`` is ``"int"`` (at least ``minimum``), ``"float"`` (inside
+    ``bounds = (lo, hi]``), ``"choice"`` (one of ``choices``; a callable
+    is read live, like the family registry) or ``"bool"``.  A ``None``
+    default means the knob is optional, or (``workers``) that
+    :func:`partition_spec` fills it in from another knob.
+    """
+
+    name: str
+    kind: str
+    default: object = None
+    description: str = ""
+    choices: "tuple | Callable[[], tuple]" = ()
+    minimum: "int | None" = None
+    bounds: "tuple[float, float] | None" = None
+
+    def options(self) -> "tuple[str, ...]":
+        return tuple(self.choices() if callable(self.choices) else self.choices)
+
+    def parse(self, raw: "str | None"):
+        """A raw query or flag string (``None``: absent) -> the value.
+
+        Raises ``ValueError`` carrying the message the service answers
+        with a 400.
+        """
+        if raw is None:
+            return self.default
+        name = self.name
+        if self.kind == "bool":
+            if raw in ("", "0", "false", "no", "1", "true", "yes"):
+                return raw in ("1", "true", "yes")
+            raise ValueError(
+                f"{name} must be one of 1/true/yes/0/false/no, got {raw!r}"
+            )
+        if self.kind == "choice":
+            if raw not in self.options():
+                options = ", ".join(self.options())
+                raise ValueError(f"{name} must be one of {options}, got {raw!r}")
+            return raw
+        number = int if self.kind == "int" else float
+        try:
+            value = number(raw)
+        except ValueError:
+            noun = "an integer" if number is int else "a number"
+            raise ValueError(f"{name} must be {noun}, got {raw!r}") from None
+        if self.minimum is not None and value < self.minimum:
+            raise ValueError(f"{name} must be >= {self.minimum}, got {value}")
+        lo, hi = self.bounds or (-np.inf, np.inf)
+        if not lo < value <= hi:
+            raise ValueError(f"{name} must be in ({lo}, {hi}], got {value}")
+        return value
+
+
+#: Every knob that shapes a partition run, in presentation order.  The
+#: service's ``POST /v1/partitions``, its OpenAPI parameters and the
+#: ``stream``/``cluster`` CLI flags are all generated from this table.
+PARTITION_KNOBS: "dict[str, Knob]" = {
+    knob.name: knob
+    for knob in (
+        Knob("partitioner", "choice", "onepass", "registered streaming "
+             "partitioner (the repro.partitioning.families registry: "
+             "{choices})", choices=family_names),
+        Knob("scorer", "choice", "eq1", "value function (fennel is "
+             "onepass-only)", choices=("eq1", "fennel")),
+        Knob("gamma", "float", 1.5, "FENNEL load-penalty exponent "
+             "(scorer=fennel)", bounds=(1.0, 16.0)),
+        Knob("kernel", "choice", "auto", "pass-kernel implementation; njit "
+             "needs numba and a supported state/scorer combo, otherwise the "
+             "run falls back to python (the resolved mode is reported as "
+             "metrics.kernel_mode)", choices=("auto", "python", "njit")),
+        Knob("workers", "int", None, "parallel sharded streaming workers "
+             "(default 1; sharded defaults to 2 and requires >= 2)",
+             minimum=1),
+        Knob("shard_payload", "choice", "boundary", "what sharded workers "
+             "ship at the merge", choices=("boundary", "full")),
+        Knob("shard_by", "choice", "pins", "how sharded worker ranges are "
+             "balanced", choices=("pins", "chunks")),
+        Knob("buffer_fraction", "float", 0.25, "BufferedRestreamer window "
+             "as a fraction of |V| (buffered/sharded)", bounds=(0.0, 1.0)),
+        Knob("buffer_size", "int", None, "explicit BufferedRestreamer "
+             "window in vertices (overrides buffer_fraction)", minimum=1),
+        Knob("max_tracked_edges", "int", None, "presence-table cap (absent "
+             "= unbounded / exact)", minimum=1),
+        Knob("max_iterations", "int", 20, "restreaming pass cap per window",
+             minimum=1),
+        Knob("refine", "bool", False, "polish the result with FM-style "
+             "boundary refinement (attachable to any partitioner; reported "
+             "as refine_* metrics)"),
+        Knob("refine_passes", "int", 4, "maximum refinement propose/apply "
+             "rounds (refine=1)", minimum=1),
+    )
+}
+
+
+def partition_spec(params) -> dict:
+    """Validate raw knob strings into a spec for :func:`build_partitioner`.
+
+    ``params`` maps knob names to strings; absent names take the
+    :data:`PARTITION_KNOBS` defaults and other names are ignored.  Adds
+    the cross-field rules: ``scorer=fennel`` needs ``partitioner=onepass``,
+    and ``sharded`` defaults to ``workers=2`` and needs ``workers >= 2``.
+    Raises ``ValueError`` naming the first bad knob.
+    """
+    spec = {
+        name: knob.parse(params.get(name))
+        for name, knob in PARTITION_KNOBS.items()
+    }
+    sharded = spec["partitioner"] == "sharded"
+    if spec["scorer"] == "fennel" and spec["partitioner"] != "onepass":
+        raise ValueError(
+            "scorer=fennel is only available with partitioner=onepass "
+            "(the restreamers score with Eq. 1)"
+        )
+    if spec["workers"] is None:
+        spec["workers"] = 2 if sharded else 1
+    if sharded and spec["workers"] < 2:
+        raise ValueError("partitioner=sharded needs workers >= 2")
+    return spec
+
+
 def build_partitioner(spec: dict, num_vertices: int) -> Partitioner:
-    """Instantiate the requested family from a validated service spec.
+    """Instantiate the requested family from a :func:`partition_spec`.
 
     When the spec carries ``refine`` truthy, the built partitioner is
     wrapped in :class:`PolishedStreamer` — the polish is attachable to
@@ -1229,8 +1321,7 @@ def build_partitioner(spec: dict, num_vertices: int) -> Partitioner:
         partitioner = PolishedStreamer(
             partitioner,
             refine=RefineConfig(
-                passes=spec.get("refine_passes", 4),
-                workers=spec.get("workers", 1),
+                passes=spec["refine_passes"], workers=spec["workers"]
             ),
         )
     return partitioner

@@ -64,7 +64,13 @@ from repro.streaming.reader import (
     stream_hmetis,
     stream_matrix_market,
 )
-from repro.partitioning.families import build_partitioner, family_names
+from repro.partitioning.families import (
+    PARTITION_KNOBS,
+    Knob,
+    build_partitioner,
+    family_names,
+    partition_spec,
+)
 
 __all__ = [
     "ServiceConfig",
@@ -90,28 +96,12 @@ _UPLOAD_PARAMS = frozenset(
     ("format", "model", "chunk_size", "buffer_pins", "pin_budget", "name")
 )
 
-#: Query parameters ``POST /v1/partitions`` understands.
-_PARTITION_PARAMS = _UPLOAD_PARAMS | frozenset(
-    (
-        "k",
-        "partitioner",
-        "scorer",
-        "gamma",
-        "kernel",
-        "workers",
-        "shard_payload",
-        "shard_by",
-        "buffer_fraction",
-        "buffer_size",
-        "max_tracked_edges",
-        "max_iterations",
-        "refine",
-        "refine_passes",
-        "seed",
-        "cost",
-        "sync",
-        "store",
-    )
+#: Query parameters ``POST /v1/partitions`` understands: the upload
+#: ones, the partition knobs, and the service's own.
+_PARTITION_PARAMS = (
+    _UPLOAD_PARAMS
+    | frozenset(PARTITION_KNOBS)
+    | frozenset(("k", "seed", "cost", "sync", "store"))
 )
 
 #: Blocks per slice when streaming an assignment body.
@@ -219,56 +209,12 @@ def _reject_unknown(params: dict, allowed: frozenset, where: str) -> None:
         )
 
 
-def _get_int(
-    params: dict,
-    key: str,
-    default: "int | None",
-    *,
-    minimum: "int | None" = None,
-) -> "int | None":
-    raw = params.get(key)
-    if raw is None:
-        return default
+def _get(params: dict, name: str, kind: str, default=None, **limits):
+    """One query parameter parsed as a :class:`Knob`; bad values are 400s."""
     try:
-        value = int(raw)
-    except ValueError:
-        raise BadRequest(f"{key} must be an integer, got {raw!r}") from None
-    if minimum is not None and value < minimum:
-        raise BadRequest(f"{key} must be >= {minimum}, got {value}")
-    return value
-
-
-def _get_float(
-    params: dict, key: str, default: float, *, lo: float, hi: float
-) -> float:
-    raw = params.get(key)
-    if raw is None:
-        return default
-    try:
-        value = float(raw)
-    except ValueError:
-        raise BadRequest(f"{key} must be a number, got {raw!r}") from None
-    if not (lo < value <= hi):
-        raise BadRequest(f"{key} must be in ({lo}, {hi}], got {value}")
-    return value
-
-
-def _get_choice(params: dict, key: str, choices: tuple, default: str) -> str:
-    value = params.get(key, default)
-    if value not in choices:
-        raise BadRequest(
-            f"{key} must be one of {', '.join(choices)}, got {value!r}"
-        )
-    return value
-
-
-def _get_bool(params: dict, key: str) -> bool:
-    raw = params.get(key, "")
-    if raw in ("", "0", "false", "no"):
-        return False
-    if raw in ("1", "true", "yes"):
-        return True
-    raise BadRequest(f"{key} must be one of 1/true/yes/0/false/no, got {raw!r}")
+        return Knob(name, kind, default, **limits).parse(params.get(name))
+    except ValueError as exc:
+        raise BadRequest(str(exc)) from None
 
 
 def _normalise_digest(raw: str) -> str:
@@ -571,20 +517,25 @@ class ServiceHandlers:
                 "an upload body is required (or reference a previous "
                 "upload with store=<digest>)"
             )
-        fmt = _get_choice(params, "format", tuple(UPLOAD_FORMATS), "hmetis")
+        fmt = _get(
+            params, "format", "choice", "hmetis", choices=tuple(UPLOAD_FORMATS)
+        )
         kwargs = {
-            "chunk_size": _get_int(
-                params, "chunk_size", self.config.default_chunk_size, minimum=1
+            "chunk_size": _get(
+                params, "chunk_size", "int", self.config.default_chunk_size,
+                minimum=1,
             ),
-            "buffer_pins": _get_int(
-                params, "buffer_pins", self.config.default_buffer_pins, minimum=1
+            "buffer_pins": _get(
+                params, "buffer_pins", "int", self.config.default_buffer_pins,
+                minimum=1,
             ),
-            "pin_budget": _get_int(params, "pin_budget", None, minimum=1),
+            "pin_budget": _get(params, "pin_budget", "int", minimum=1),
             "name": params.get("name"),
         }
         if fmt == "mtx":
-            kwargs["model"] = _get_choice(
-                params, "model", ("row-net", "column-net"), "row-net"
+            kwargs["model"] = _get(
+                params, "model", "choice", "row-net",
+                choices=("row-net", "column-net"),
             )
         elif "model" in params:
             raise BadRequest("model only applies to format=mtx uploads")
@@ -651,23 +602,10 @@ class ServiceHandlers:
                 f"cannot split {source['num_vertices']} vertices into "
                 f"{spec['k']} parts"
             )
-        request_doc = {
-            key: spec[key]
-            for key in (
-                "k",
-                "partitioner",
-                "scorer",
-                "kernel",
-                "workers",
-                "buffer_fraction",
-                "buffer_size",
-                "max_tracked_edges",
-                "max_iterations",
-                "refine",
-                "refine_passes",
-                "seed",
-                "cost",
-            )
+        request_doc = {  # the validated request, minus its wire details
+            key: value
+            for key, value in spec.items()
+            if key not in ("gamma", "shard_payload", "shard_by", "sync", "store")
         }
         request_doc["source"] = source
         job = self.jobs.create(request_doc, digest=digest)
@@ -794,71 +732,29 @@ class ServiceHandlers:
     # partition spec + job body
     # ------------------------------------------------------------------
     def _partition_spec(self, params: dict) -> dict:
-        """Validate the partitioning knobs (400 on any bad value)."""
-        # family_names() is read per request, not snapshotted at import:
-        # a family registered at runtime is immediately servable.
-        partitioner = _get_choice(
-            params, "partitioner", family_names(), "onepass"
-        )
-        scorer = _get_choice(params, "scorer", ("eq1", "fennel"), "eq1")
-        if scorer == "fennel" and partitioner != "onepass":
-            raise BadRequest(
-                "scorer=fennel is only available with partitioner=onepass "
-                "(the restreamers score with Eq. 1)"
-            )
-        workers = _get_int(
-            params,
-            "workers",
-            2 if partitioner == "sharded" else 1,
-            minimum=1,
-        )
-        if partitioner == "sharded" and workers < 2:
-            raise BadRequest("partitioner=sharded needs workers >= 2")
-        k = _get_int(params, "k", None, minimum=1)
-        if k is None:
-            raise BadRequest("k (number of partitions) is required")
-        spec = {
-            "k": k,
-            "partitioner": partitioner,
-            "scorer": scorer,
-            "gamma": _get_float(params, "gamma", 1.5, lo=1.0, hi=16.0),
-            "kernel": _get_choice(
-                params, "kernel", ("auto", "python", "njit"), "auto"
-            ),
-            "workers": workers,
-            "shard_payload": _get_choice(
-                params, "shard_payload", ("boundary", "full"), "boundary"
-            ),
-            "shard_by": _get_choice(
-                params, "shard_by", ("pins", "chunks"), "pins"
-            ),
-            "buffer_fraction": _get_float(
-                params, "buffer_fraction", 0.25, lo=0.0, hi=1.0
-            ),
-            "buffer_size": _get_int(params, "buffer_size", None, minimum=1),
-            "max_tracked_edges": _get_int(
-                params, "max_tracked_edges", None, minimum=1
-            ),
-            "max_iterations": _get_int(params, "max_iterations", 20, minimum=1),
-            "refine": _get_bool(params, "refine"),
-            "refine_passes": _get_int(params, "refine_passes", 4, minimum=1),
-            "seed": _get_int(params, "seed", 20190805),
-            "cost": _get_choice(params, "cost", ("uniform", "archer"), "uniform"),
-            "sync": _get_bool(params, "sync"),
-            "store": (
-                _normalise_digest(params["store"]) if "store" in params else None
-            ),
-        }
-        return spec
+        """Validate the partitioning knobs (400 on any bad value).
 
-    def build_partitioner(self, spec: dict, num_vertices: int):
-        """Instantiate the requested partitioner for an instance size.
-
-        Delegates to the :data:`repro.partitioning.families.PARTITIONERS`
-        registry (which also wraps the FM polish when ``refine`` is set),
-        so the service construction path and the library's are one.
+        The knobs go through :func:`partition_spec`, which reads the
+        live family registry, so a family registered at runtime is
+        immediately servable; ``k``, ``seed``, ``cost``, ``sync`` and
+        ``store`` are the service's own.
         """
-        return build_partitioner(spec, num_vertices)
+        try:
+            spec = partition_spec(params)
+        except ValueError as exc:
+            raise BadRequest(str(exc)) from None
+        spec["k"] = _get(params, "k", "int", minimum=1)
+        if spec["k"] is None:
+            raise BadRequest("k (number of partitions) is required")
+        spec["seed"] = _get(params, "seed", "int", 20190805)
+        spec["cost"] = _get(
+            params, "cost", "choice", "uniform", choices=("uniform", "archer")
+        )
+        spec["sync"] = _get(params, "sync", "bool", False)
+        spec["store"] = (
+            _normalise_digest(params["store"]) if "store" in params else None
+        )
+        return spec
 
     def _job_fn(self, digest: str, spec: dict):
         """The deferred partition body: replay the store, run, report.
@@ -876,7 +772,7 @@ class ServiceHandlers:
         def run():
             stream = open_store(store_dir)
             with stream:
-                partitioner = self.build_partitioner(spec, stream.num_vertices)
+                partitioner = build_partitioner(spec, stream.num_vertices)
                 result = partitioner.partition_stream(
                     stream,
                     spec["k"],

@@ -10,13 +10,16 @@ routes the app dispatches.
 It is deliberately *handwritten* — no framework introspection — so the
 contract changes only when a human edits this file, and a drifted
 implementation fails tests instead of silently republishing itself.
+The one exception is the partition knobs: their parameters are
+generated from :data:`repro.partitioning.families.PARTITION_KNOBS`, the
+same table the service validates ``POST /v1/partitions`` against.
 """
 
 from __future__ import annotations
 
 import copy
 
-from repro.partitioning.families import family_names
+from repro.partitioning.families import PARTITION_KNOBS, family_names
 
 __all__ = ["openapi_spec", "OPENAPI_VERSION", "SERVICE_VERSION"]
 
@@ -227,6 +230,25 @@ _UPLOAD_PARAMETERS = [
     _q("name", {"type": "string"}, "stream name recorded in the store"),
 ]
 
+
+def _knob_parameter(knob):
+    """The OpenAPI query parameter for one :data:`PARTITION_KNOBS` entry."""
+    if knob.kind == "bool":
+        schema = {"type": "string", "enum": ["1", "0"]}
+    elif knob.kind == "choice":
+        schema = {"type": "string", "enum": list(knob.options())}
+    else:
+        schema = {"type": "integer" if knob.kind == "int" else "number"}
+    if knob.default is not None:
+        schema["default"] = (
+            str(int(knob.default)) if knob.kind == "bool" else knob.default
+        )
+    if knob.minimum is not None:
+        schema["minimum"] = knob.minimum
+    description = knob.description.format(choices=", ".join(knob.options()))
+    return _q(knob.name, schema, description)
+
+
 _PARTITION_PARAMETERS = [
     _q(
         "k",
@@ -234,86 +256,7 @@ _PARTITION_PARAMETERS = [
         "number of partitions",
         required=True,
     ),
-    _q(
-        "partitioner",
-        {
-            "type": "string",
-            "enum": list(family_names()),
-            "default": "onepass",
-        },
-        "registered streaming partitioner (the "
-        "repro.partitioning.families registry: onepass, buffered, "
-        "sharded, hype, minmax)",
-    ),
-    _q(
-        "scorer",
-        {"type": "string", "enum": ["eq1", "fennel"], "default": "eq1"},
-        "value function (fennel is onepass-only)",
-    ),
-    _q(
-        "gamma",
-        {"type": "number", "default": 1.5},
-        "FENNEL load-penalty exponent (scorer=fennel)",
-    ),
-    _q(
-        "kernel",
-        {
-            "type": "string",
-            "enum": ["auto", "python", "njit"],
-            "default": "auto",
-        },
-        "pass-kernel implementation; njit needs numba and a supported "
-        "state/scorer combo, otherwise the run falls back to python "
-        "(the resolved mode is reported as metrics.kernel_mode)",
-    ),
-    _q(
-        "workers",
-        {"type": "integer", "minimum": 1},
-        "parallel sharded streaming workers (default 1; sharded "
-        "defaults to 2 and requires >= 2)",
-    ),
-    _q(
-        "shard_payload",
-        {"type": "string", "enum": ["boundary", "full"], "default": "boundary"},
-        "what sharded workers ship at the merge",
-    ),
-    _q(
-        "shard_by",
-        {"type": "string", "enum": ["pins", "chunks"], "default": "pins"},
-        "how sharded worker ranges are balanced",
-    ),
-    _q(
-        "buffer_fraction",
-        {"type": "number", "default": 0.25},
-        "BufferedRestreamer window as a fraction of |V| (buffered/sharded)",
-    ),
-    _q(
-        "buffer_size",
-        {"type": "integer", "minimum": 1},
-        "explicit BufferedRestreamer window in vertices (overrides "
-        "buffer_fraction)",
-    ),
-    _q(
-        "max_tracked_edges",
-        {"type": "integer", "minimum": 1},
-        "presence-table cap (absent = unbounded / exact)",
-    ),
-    _q(
-        "max_iterations",
-        {"type": "integer", "default": 20, "minimum": 1},
-        "restreaming pass cap per window",
-    ),
-    _q(
-        "refine",
-        {"type": "string", "enum": ["1", "0"], "default": "0"},
-        "polish the result with FM-style boundary refinement "
-        "(attachable to any partitioner; reported as refine_* metrics)",
-    ),
-    _q(
-        "refine_passes",
-        {"type": "integer", "default": 4, "minimum": 1},
-        "maximum refinement propose/apply rounds (refine=1)",
-    ),
+    *(_knob_parameter(knob) for knob in PARTITION_KNOBS.values()),
     _q("seed", {"type": "integer", "default": 20190805}, "deterministic seed"),
     _q(
         "cost",

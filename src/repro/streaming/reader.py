@@ -1015,8 +1015,8 @@ def assemble(stream: ChunkStream) -> Hypergraph:
 
     Deliberately O(pins) in memory — it exists so tests can assert that
     chunked reads concatenate to exactly what the whole-file readers
-    produce, and as an escape hatch when an instance turns out to fit
-    after all.
+    produce, and for families that need random access (HYPE's fringe
+    serves chunk streams through it).
     """
     ptr_parts = [np.zeros(1, dtype=np.int64)]
     edge_parts: "list[np.ndarray]" = []

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.experiments import ablations, figure1, figure3, figure4, figure5, figure6, table1
-from repro.experiments.cli import build_parser, main
+from repro.experiments.cli import build_parser, context_from_args, main
 from repro.experiments.common import ExperimentContext, default_partitioners
 
 
@@ -135,11 +135,92 @@ class TestAblations:
         assert res.values[0.0] > 0
 
 
+#: The flags each command reads (and so the only ones it accepts).
+_WORLD = {"--nodes", "--scale", "--instances", "--seed", "--max-iterations"}
+_SIM = {"--timesteps", "--message-bytes", "--sim-model"}
+_INPUT = {"--stream-input", "--chunk-size", "--pin-budget"}
+_CLUSTER_KNOBS = {
+    "--partitioner", "--scorer", "--gamma", "--kernel", "--shard-payload",
+    "--shard-by", "--buffer-fraction", "--buffer-size", "--max-tracked-edges",
+}
+_COMMAND_FLAGS = {
+    "table1": {"--scale", "--instances"},
+    "figure1": {"--nodes", "--scale", "--seed"} | _SIM,
+    "figure3": {"--nodes", "--scale", "--seed", "--max-iterations"},
+    "figure4": _WORLD,
+    "figure5": _WORLD | {"--jobs", "--iterations"} | _SIM,
+    "figure6": {"--nodes", "--scale", "--seed", "--max-iterations"} | _SIM,
+    "ablations": {"--nodes", "--scale", "--seed"},
+    "all": _WORLD | {"--jobs", "--iterations"} | _SIM,
+    "stream": _WORLD | _INPUT | _CLUSTER_KNOBS | {
+        "--cache", "--buffer-fractions", "--workers", "--refine",
+        "--refine-passes",
+    },
+    "convert": _INPUT | {"--store"},
+    "serve": {
+        "--host", "--port", "--workers", "--cache-dir", "--pool",
+        "--max-queue-depth", "--api-key-file", "--rate-limit",
+        "--rate-burst", "--store-budget",
+    },
+    "worker": {"--host", "--port", "--seed", "--psk-file", "--log-file"},
+    "cluster": _WORLD | _INPUT | _CLUSTER_KNOBS | {
+        "--cache", "--psk-file", "--hosts", "--ship", "--timeout",
+        "--on-loss", "--no-compress", "--no-tailored",
+    },
+}
+
+
 class TestCli:
     def test_parser_defaults(self):
         args = build_parser().parse_args(["table1"])
         assert args.command == "table1"
-        assert args.nodes == 4
+        assert context_from_args(args).scale == 1.0
+        assert build_parser().parse_args(["figure5"]).nodes == 4
+
+    def test_each_command_accepts_only_the_flags_it_reads(self):
+        import argparse
+
+        parser = build_parser()
+        commands = next(
+            a for a in parser._actions
+            if isinstance(a, argparse._SubParsersAction)
+        ).choices
+        assert set(commands) == set(_COMMAND_FLAGS)
+        for name, sub in commands.items():
+            accepted = {
+                opt for action in sub._actions for opt in action.option_strings
+            } - {"-h", "--help"}
+            assert accepted == _COMMAND_FLAGS[name], name
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["table1", "--hosts", "a:1"],
+            ["worker", "--refine"],
+            ["serve", "--max-tracked-edges", "5"],
+            ["--scale", "0.5", "table1"],
+        ],
+    )
+    def test_flags_a_command_does_not_read_exit_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_knobs_the_ladder_does_not_read_exit_2(self, capsys):
+        for argv in (
+            ["stream", "--refine"],
+            ["stream", "--partitioner", "minmax", "--buffer-fractions", "0.5"],
+            ["stream", "--cache", "somewhere"],
+            ["stream", "--stream-input", "g.hgr", "--scale", "0.5"],
+            ["cluster", "--hosts", "a:1", "--partitioner", "hype"],
+        ):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2, argv
+        err = capsys.readouterr().err
+        assert "--refine needs --partitioner or --stream-input" in err
+        assert "partitioner must be one of onepass, buffered, got 'hype'" in err
 
     def test_main_table1(self, capsys):
         rc = main(["table1", "--scale", "0.1"])

@@ -15,7 +15,8 @@ of :mod:`repro.partitioning.families` specifically promises:
   live connectivity counter under place/remove/eviction/overlay;
 * refinement laws — the FM polish never worsens the weighted cut, is
   identical for every worker count, and respects its balance cap;
-* stream adapters — ``materialise_stream`` rebuilds the exact CSR.
+* stream adapters — ``assemble`` (HYPE's stream path) rebuilds the exact
+  CSR.
 """
 
 import numpy as np
@@ -34,10 +35,11 @@ from repro.partitioning.families import (
     RefineConfig,
     build_partitioner,
     get_family,
-    materialise_stream,
+    partition_spec,
     refine_partition,
 )
 from repro.streaming import OnePassStreamer, stream_hmetis
+from repro.streaming.reader import assemble
 
 P = 2
 
@@ -277,14 +279,14 @@ class TestRefinementLaws:
 
 
 class TestStreamAdapters:
-    """materialise_stream and the streamed entry points."""
+    """assemble and the streamed entry points."""
 
-    def test_materialise_stream_roundtrips_the_csr(self, tmp_path):
+    def test_assemble_roundtrips_the_csr(self, tmp_path):
         hg = _instance()
         path = tmp_path / "fam.hgr"
         write_hmetis(hg, path, write_weights=True)
         with stream_hmetis(path, chunk_size=48) as stream:
-            rebuilt = materialise_stream(stream)
+            rebuilt = assemble(stream)
         assert rebuilt.num_vertices == hg.num_vertices
         assert rebuilt.num_edges == hg.num_edges
         assert np.array_equal(rebuilt.edge_ptr, hg.edge_ptr)
@@ -322,15 +324,9 @@ class TestStreamAdapters:
     def test_registry_lookup_and_refine_wrapping(self):
         with pytest.raises(ValueError, match="unknown partitioner"):
             get_family("nope")
-        spec = {
-            "partitioner": "minmax",
-            "kernel": "auto",
-            "workers": 1,
-            "max_tracked_edges": None,
-            "buffer_size": None,
-            "refine": True,
-            "refine_passes": 2,
-        }
+        spec = partition_spec(
+            {"partitioner": "minmax", "refine": "1", "refine_passes": "2"}
+        )
         built = build_partitioner(spec, 100)
         assert isinstance(built, PolishedStreamer)
         assert built.name == "stream-minmax+fm"

@@ -444,6 +444,50 @@ class TestMemoryBound:
 # ----------------------------------------------------------------------
 # the partitioner-family registry is the single service surface
 # ----------------------------------------------------------------------
+#: Bad partition knobs and the 400 message each gets; the strings were
+#: recorded from the service before the knob table existed, and the CLI
+#: prints the same text.
+_BAD_KNOBS = [
+    (
+        {"scorer": "fennel", "partitioner": "buffered"},
+        "scorer=fennel is only available with partitioner=onepass "
+        "(the restreamers score with Eq. 1)",
+    ),
+    (
+        {"partitioner": "sharded", "workers": "1"},
+        "partitioner=sharded needs workers >= 2",
+    ),
+    ({"gamma": "0"}, "gamma must be in (1.0, 16.0], got 0.0"),
+    ({"kernel": "x"}, "kernel must be one of auto, python, njit, got 'x'"),
+    ({"workers": "0"}, "workers must be >= 1, got 0"),
+    (
+        {"refine": "maybe"},
+        "refine must be one of 1/true/yes/0/false/no, got 'maybe'",
+    ),
+]
+
+
+@pytest.mark.parametrize("knobs, message", _BAD_KNOBS)
+def test_bad_knob_same_message_over_http_and_cli(
+    service, tiny_hgr, capsys, knobs, message
+):
+    from repro.experiments.cli import main
+
+    query = "&".join(f"{name}={value}" for name, value in knobs.items())
+    status, body = _request(
+        f"{service.url}/v1/partitions?k=2&sync=1&{query}", data=tiny_hgr
+    )
+    assert status == 400
+    assert body["error"]["message"] == message
+    argv = ["stream", "--partitioner", "onepass"]
+    for name, value in knobs.items():
+        argv += ["--" + name.replace("_", "-"), value]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(f"error: {message}\n")
+
+
 class TestFamilyRegistry:
     """Registering a family makes it servable — no service change."""
 

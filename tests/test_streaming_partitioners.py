@@ -390,18 +390,25 @@ class TestShardedStreamer:
 
     def test_workers_knob_on_partitioners_and_config(self, instance):
         """workers surfaces through ctor args and HyperPRAWConfig."""
+        # chunk_size=32 gives the instance several chunks, so workers=2
+        # really shards (one chunk would clamp to one shard).
         r = BufferedRestreamer(
-            HyperPRAWConfig(record_history=False), buffer_size=60, workers=2
+            HyperPRAWConfig(record_history=False), buffer_size=60,
+            chunk_size=32, workers=2,
         ).partition(instance, 4)
         assert r.algorithm == "stream-sharded"
         assert r.metadata["workers"] == 2
+        assert r.metadata["shards"] == 2
         r = BufferedRestreamer(
-            HyperPRAWConfig(record_history=False, workers=2), buffer_size=60
+            HyperPRAWConfig(record_history=False, workers=2), buffer_size=60,
+            chunk_size=32,
         ).partition(instance, 4)
         assert r.algorithm == "stream-sharded"
-        r = OnePassStreamer(workers=2).partition(instance, 4)
+        assert r.metadata["shards"] == 2
+        r = OnePassStreamer(workers=2, chunk_size=32).partition(instance, 4)
         assert r.algorithm == "stream-sharded"
         assert r.metadata["base_algorithm"] == "stream-onepass"
+        assert r.metadata["shards"] == 2
 
     def test_sharded_from_disk(self, instance, tmp_path):
         from repro.streaming import ShardedStreamer
@@ -508,6 +515,32 @@ class TestBenchScenario:
         out = capsys.readouterr().out
         assert "streamed vs in-memory" in out
         assert "stream-buffered" in out
+
+    def test_cli_family_run_reads_every_knob(self, capsys):
+        """Regression: the suite-instance family run was built from the
+        invariant-test factory, which dropped ``--max-tracked-edges``
+        (and ``--kernel``, ``--chunk-size``, ``--shard-payload``,
+        ``--shard-by``) and printed no presence-table rows."""
+        from repro.experiments.cli import main
+
+        rc = main(
+            [
+                "stream", "--nodes", "1", "--instances", "sparsine",
+                "--scale", "0.1", "--partitioner", "minmax",
+                "--max-tracked-edges", "40",
+            ]
+        )
+        assert rc == 0
+        rows = {
+            key.strip(): value.strip().replace(",", "")
+            for key, value in (
+                line.split(" : ", 1)
+                for line in capsys.readouterr().out.splitlines()
+                if " : " in line
+            )
+        }
+        assert int(rows["peak tracked edges"]) <= 40
+        assert int(rows["evictions"]) > 0
 
     def test_cli_stream_file_input(self, capsys, tmp_path, instance):
         from repro.experiments.cli import main
