@@ -1,7 +1,7 @@
 """Benchmark: the partitioner-family head-to-head and its baseline diff.
 
 ``test_families_comparison`` runs
-:func:`repro.bench.families.compare_families` on the streaming stress
+:func:`repro.bench.streaming.compare_families` on the streaming stress
 instance and attaches every family's cut, imbalance and resident-pin
 figures to ``extra_info``; it also asserts the acceptance criterion for
 the FM polish stage: ``hyperpraw+fm`` may never *worsen* the anchor's
@@ -17,7 +17,7 @@ benchmark boxes.  The default subset reruns one instance's table;
 
 import os
 
-from repro.bench.families import compare_families
+from repro.bench.streaming import compare_families
 from repro.hypergraph.suite import STREAMING_INSTANCE, load_instance
 
 FULL = os.environ.get("REPRO_BENCH_FULL", "0") == "1"
@@ -37,9 +37,9 @@ def test_families_comparison(benchmark, bench_ctx):
         rounds=1,
         iterations=1,
     )
-    benchmark.extra_info["instance_pins"] = report.num_pins
+    benchmark.extra_info["instance_pins"] = hg.num_pins
     for record in report.records:
-        key = record.algorithm.replace(" ", "")
+        key = record.label.replace(" ", "")
         benchmark.extra_info[f"cut[{key}]"] = float(
             record.quality.hyperedge_cut
         )

@@ -76,16 +76,13 @@ def test_streaming_comparison(benchmark, bench_ctx):
         rounds=1,
         iterations=1,
     )
-    anchor = report.records[0]
-    benchmark.extra_info["instance_pins"] = report.num_pins
-    benchmark.extra_info["inmemory_wall_s"] = round(anchor.wall_time_s, 4)
+    benchmark.extra_info["instance_pins"] = hg.num_pins
+    benchmark.extra_info["inmemory_wall_s"] = round(report.records[0].wall_s, 4)
     for record in report.records[1:]:
-        key = record.algorithm.replace(" ", "")
-        benchmark.extra_info[f"gap[{key}]"] = round(record.quality_gap, 4)
-    chunked = report.records[1]
-    benchmark.extra_info["chunked_speedup"] = round(
-        anchor.wall_time_s / chunked.wall_time_s, 2
-    )
+        key = record.label.replace(" ", "")
+        benchmark.extra_info[f"gap[{key}]"] = round(report.gap(record.label), 4)
+    chunked = report.records[1].label
+    benchmark.extra_info["chunked_speedup"] = round(report.speedup(chunked), 2)
     print()
     print(report.render())
 
@@ -129,23 +126,21 @@ def test_sharded_scaling(benchmark, bench_ctx):
         iterations=1,
     )
     for record in report.records:
-        benchmark.extra_info[f"speedup[w={record.workers}]"] = round(
-            record.speedup, 2
+        w, md = record.metadata["workers"], record.metadata
+        benchmark.extra_info[f"speedup[w={w}]"] = round(
+            report.speedup(record.label), 2
         )
-        benchmark.extra_info[f"cut_drift[w={record.workers}]"] = round(
-            record.cut_drift, 4
-        )
-        benchmark.extra_info[f"payload_B[w={record.workers}]"] = (
-            record.merge_payload_bytes
-        )
-        if record.pin_skew is not None:
-            benchmark.extra_info[f"pin_skew[w={record.workers}]"] = round(
-                record.pin_skew, 3
+        cut_drift = report.cut_drift(record.label)
+        benchmark.extra_info[f"cut_drift[w={w}]"] = round(cut_drift, 4)
+        benchmark.extra_info[f"payload_B[w={w}]"] = md["merge_payload_bytes"]
+        if md["shard_pin_skew"] is not None:
+            benchmark.extra_info[f"pin_skew[w={w}]"] = round(
+                md["shard_pin_skew"], 3
             )
         # sanity, not scaling: every worker count must produce a full,
         # boundary-repaired assignment within the balance tolerance
         assert record.quality.imbalance <= 1.25 + 1e-9
-        assert abs(record.cut_drift) <= 0.05
+        assert abs(cut_drift) <= 0.05
     print()
     print(report.render())
 
@@ -167,14 +162,15 @@ def test_sharded_boundary_payload(benchmark, bench_ctx):
         rounds=1,
         iterations=1,
     )
-    record = report.record(w)
-    benchmark.extra_info["merge_payload_bytes"] = record.merge_payload_bytes
-    benchmark.extra_info["full_payload_bytes"] = record.full_payload_bytes
+    record = report.record(f"workers={w}")
+    md = record.metadata
+    benchmark.extra_info["merge_payload_bytes"] = md["merge_payload_bytes"]
+    benchmark.extra_info["full_payload_bytes"] = md["merge_full_payload_bytes"]
     benchmark.extra_info["payload_reduction"] = round(
         record.payload_reduction, 2
     )
-    if record.pin_skew is not None:
-        benchmark.extra_info["pin_skew"] = round(record.pin_skew, 3)
+    if md["shard_pin_skew"] is not None:
+        benchmark.extra_info["pin_skew"] = round(md["shard_pin_skew"], 3)
     # Acceptance: boundary-only merge payloads beat full-table shipping
     # by >= 2x where the shard structure leaves most nets interior.
     assert record.payload_reduction >= 2.0

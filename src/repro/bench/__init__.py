@@ -14,13 +14,18 @@ cut traffic lands on — fully determines runtime.
   protocol: several simulated job allocations (different bandwidth
   realisations), ring-profiling per job, partitioning per strategy, and
   repeated benchmark iterations with per-iteration network jitter.
-* :func:`~repro.bench.streaming.compare_streaming` — the streamed vs
-  in-memory scenario: quality / peak-memory / runtime of the
-  :mod:`repro.streaming` partitioners against the in-memory anchor.
-* :func:`~repro.bench.families.compare_families` — the competitor
-  head-to-head: every registered partitioner family (HyperPRAW, its
-  FM-polished twin, onepass, HYPE-style expansion, min-max streaming)
-  on one instance, one table.
+* :func:`~repro.bench.streaming.run_contenders` — the one contender
+  runner behind the Section 5.2 comparisons: it times, grades and
+  digests a list of partitioners on one instance against the first (the
+  anchor), into one :class:`~repro.bench.streaming.Report`.  Three
+  contender lists use it:
+
+  - :func:`~repro.bench.streaming.compare_streaming` — streamed vs
+    in-memory HyperPRAW;
+  - :func:`~repro.bench.streaming.compare_sharded` — sharded streaming
+    at a ladder of worker counts;
+  - :func:`~repro.bench.streaming.compare_families` — every registered
+    partitioner family head to head.
 * :func:`~repro.bench.service.compare_service` — the HTTP traffic
   scenario: upload-to-result latency, digest-reuse speedup and sync
   requests-per-second against an in-process
@@ -33,8 +38,15 @@ cut traffic lands on — fully determines runtime.
 
 from repro.bench.synthetic import SyntheticBenchmark, BenchmarkOutcome, partition_traffic
 from repro.bench.runner import ExperimentRunner, JobContext, RunRecord
-from repro.bench.streaming import StreamingRecord, StreamingReport, compare_streaming
-from repro.bench.families import FamilyRecord, FamilyReport, compare_families
+from repro.bench.streaming import (
+    Contender,
+    Record,
+    Report,
+    compare_families,
+    compare_sharded,
+    compare_streaming,
+    run_contenders,
+)
 from repro.bench.service import (
     PoolLadder,
     PoolRun,
@@ -52,11 +64,12 @@ __all__ = [
     "ExperimentRunner",
     "JobContext",
     "RunRecord",
-    "StreamingRecord",
-    "StreamingReport",
+    "Contender",
+    "Record",
+    "Report",
+    "run_contenders",
     "compare_streaming",
-    "FamilyRecord",
-    "FamilyReport",
+    "compare_sharded",
     "compare_families",
     "PoolLadder",
     "PoolRun",

@@ -45,6 +45,7 @@ import sys
 import time
 import warnings
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from typing import Callable
 
@@ -189,76 +190,41 @@ def _instances(rows, default) -> list:
     return list(dict.fromkeys(row["instance"] for row in rows))
 
 
-def _quality_row(instance: str, r) -> dict:
-    return {
-        "instance": instance,
-        "algorithm": r.algorithm,
-        "wall_s": round(r.wall_time_s, 4),
-        "cut": float(r.quality.hyperedge_cut),
-        "pc_cost": round(float(r.quality.pc_cost), 6),
-        "imbalance": round(float(r.quality.imbalance), 6),
-    }
-
-
-def _run_streaming(s: dict, rows) -> dict:
-    """The streamed vs in-memory ladder: a boundary-sparse mesh and a
-    boundary-dense power-law instance."""
-    from repro.bench.streaming import compare_streaming
+def _run_contenders(
+    s: dict, rows, *, compare: str, default: tuple, memory: bool
+) -> dict:
+    """One contender table per instance, from ``repro.bench.streaming``'s
+    ``compare``; every header setting but ``scale`` and ``num_parts`` is
+    passed through as a keyword.  ``memory`` adds the resident-pin and
+    tracked-edge columns, and polished rows add their ``refine_*`` stats."""
+    from repro.bench import streaming
     from repro.hypergraph.suite import load_instance
 
+    knobs = {k: v for k, v in s.items() if k not in ("scale", "num_parts")}
     records = []
-    for instance in _instances(rows, ("2cubes_sphere", "sparsine")):
-        report = compare_streaming(
-            load_instance(instance, scale=s["scale"]),
-            s["num_parts"],
-            chunk_size=s["chunk_size"],
-            buffer_fractions=tuple(s["buffer_fractions"]),
-            max_iterations=s["max_iterations"],
-            kernel=s["kernel"],
-            seed=s["seed"],
-        )
-        print(f"[{instance}]\n{report.render()}")
-        records += [
-            {
-                **_quality_row(instance, r),
-                "kernel_mode": r.kernel_mode,
-                "assignment_digest": r.assignment_digest,
-            }
-            for r in report.records
-        ]
-    return {"records": records}
-
-
-def _run_families(s: dict, rows) -> dict:
-    """The family head-to-head on three structurally different instances."""
-    from repro.bench.families import compare_families
-    from repro.hypergraph.suite import load_instance
-
-    records = []
-    default = ("2cubes_sphere", "sparsine", "ABACUS_shell_hd")
     for instance in _instances(rows, default):
-        report = compare_families(
-            load_instance(instance, scale=s["scale"]),
-            s["num_parts"],
-            chunk_size=s["chunk_size"],
-            max_iterations=s["max_iterations"],
-            refine_passes=s["refine_passes"],
-            kernel=s["kernel"],
-            seed=s["seed"],
+        report = getattr(streaming, compare)(
+            load_instance(instance, scale=s["scale"]), s["num_parts"], **knobs
         )
         print(f"[{instance}]\n{report.render()}")
         for r in report.records:
             rec = {
-                **_quality_row(instance, r),
-                "peak_resident_pins": r.peak_resident_pins,
-                "peak_tracked_edges": r.peak_tracked_edges,
-                "kernel_mode": r.kernel_mode,
-                "assignment_digest": r.assignment_digest,
+                "instance": instance,
+                "algorithm": r.label,
+                "wall_s": round(r.wall_s, 4),
+                "cut": float(r.quality.hyperedge_cut),
+                "pc_cost": round(float(r.quality.pc_cost), 6),
+                "imbalance": round(float(r.quality.imbalance), 6),
             }
-            if r.refine_moves is not None:
-                rec["refine_cut_before"] = float(r.refine_cut_before)
-                rec["refine_cut_after"] = float(r.refine_cut_after)
-                rec["refine_moves"] = int(r.refine_moves)
+            if memory:
+                rec["peak_resident_pins"] = r.peak_resident_pins
+                rec["peak_tracked_edges"] = r.peak_tracked_edges
+            rec["kernel_mode"] = r.kernel_mode
+            rec["assignment_digest"] = r.digest
+            if "refine_moves" in r.metadata:
+                for field in ("refine_cut_before", "refine_cut_after"):
+                    rec[field] = float(r.metadata[field])
+                rec["refine_moves"] = int(r.metadata["refine_moves"])
             records.append(rec)
     return {"records": records}
 
@@ -413,7 +379,13 @@ STREAMING = Kind(
         seed=SEED, scale=0.3, num_parts=8, chunk_size=64, max_iterations=20,
         buffer_fractions=[0.25, 1.0], kernel="python",
     ),
-    run=_run_streaming,
+    # a boundary-sparse mesh and a boundary-dense power-law instance
+    run=partial(
+        _run_contenders,
+        compare="compare_streaming",
+        default=("2cubes_sphere", "sparsine"),
+        memory=False,
+    ),
     tables=(_QUALITY,),
     regenerate=_regenerate("streaming", "BENCH_STREAMING.json"),
 )
@@ -426,7 +398,13 @@ FAMILIES = Kind(
         seed=SEED, scale=0.25, num_parts=8, chunk_size=64, max_iterations=20,
         refine_passes=4, kernel="python",
     ),
-    run=_run_families,
+    # three structurally different instances
+    run=partial(
+        _run_contenders,
+        compare="compare_families",
+        default=("2cubes_sphere", "sparsine", "ABACUS_shell_hd"),
+        memory=True,
+    ),
     tables=(_QUALITY,),
     regenerate=_regenerate("families", "BENCH_FAMILIES.json"),
 )

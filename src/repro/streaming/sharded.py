@@ -69,7 +69,6 @@ for a fixed ``(seed, workers)``.  Results differ across *worker counts*
 from __future__ import annotations
 
 import time
-import warnings
 
 import numpy as np
 
@@ -241,19 +240,12 @@ class ShardedStreamer(StreamPartitioner):
         ``"pins"`` when the chunk-count split would straggle (pin skew
         over :data:`PIN_SKEW_THRESHOLD`) and the pin-balanced cut
         replaced it, ``"chunks"`` otherwise.  ``workers`` greater than
-        the chunk count is clamped with a warning — empty shards would
-        only fork idle processes.
+        the chunk count is clamped silently, as in every family — empty
+        shards would only fork idle processes, and the result metadata
+        records ``workers`` (requested) beside ``shards`` (actual).
         """
         n = stream.num_chunks
-        workers = self.workers
-        if workers > n:
-            warnings.warn(
-                f"workers={workers} exceeds the stream's {n} chunks; "
-                f"clamping to {n} shards",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-            workers = max(1, n)
+        workers = min(self.workers, max(1, n))
         chunk_pins = stream.chunk_pins() if self.shard_by == "pins" else None
         ranges = shard_ranges(n, workers)
         if chunk_pins is None or len(chunk_pins) != n:

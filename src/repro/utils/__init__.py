@@ -12,8 +12,6 @@ subsystem:
   dependency.
 * :mod:`repro.utils.heatmap` — ASCII heatmap rendering for the bandwidth /
   traffic matrices of Figures 1 and 6.
-* :mod:`repro.utils.timing` — a tiny wall-clock stopwatch used by the
-  benchmark harnesses.
 * :mod:`repro.utils.validation` — argument-checking helpers shared by public
   constructors.
 """
@@ -21,7 +19,6 @@ subsystem:
 from repro.utils.rng import as_generator, spawn_generators, seed_sequence
 from repro.utils.tables import format_table, format_kv
 from repro.utils.heatmap import ascii_heatmap, downsample_matrix
-from repro.utils.timing import Stopwatch
 from repro.utils.validation import (
     check_positive,
     check_non_negative,
@@ -37,7 +34,6 @@ __all__ = [
     "format_kv",
     "ascii_heatmap",
     "downsample_matrix",
-    "Stopwatch",
     "check_positive",
     "check_non_negative",
     "check_in_range",

@@ -11,6 +11,7 @@ re-dialed once and replayed, and ``on_loss="fail"`` raises promptly.
 """
 
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -118,11 +119,13 @@ class TestLoopbackGoldens:
         """More endpoints than chunks: same clamp rule as forked workers."""
         hg = _hg()
         stream = HypergraphChunkStream(hg, hg.num_vertices)  # one chunk
-        with pytest.warns(RuntimeWarning, match="clamping"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             result = DistributedStreamer(
                 OnePassStreamer(), hosts=fleet, timeout=TIMEOUT
             ).partition_stream(stream, P, seed=7)
         assert len(result.metadata["hosts"]) == 1
+        assert result.metadata["shards"] < result.metadata["workers"]
 
 
 _PSK = b"equivalence-suite-key"

@@ -478,10 +478,9 @@ class TestBenchScenario:
         # ... and full-buffer *chunked* restreaming must match the
         # chunked in-memory row exactly (chunk scores freeze at block
         # start, so buffering the whole window changes nothing)
-        chunked_rows = {r.algorithm: r for r in report.records}
         assert (
-            chunked_rows["stream-buffered-chunk (1|V|)"].quality.pc_cost
-            == chunked_rows[f"hyperpraw (chunk={64})"].quality.pc_cost
+            report.record("stream-buffered-chunk (1|V|)").quality.pc_cost
+            == report.record("hyperpraw (chunk=64)").quality.pc_cost
         )
         # acceptance: streamed gap <= 25% on the synthetic suite
         assert report.gap("stream-onepass") <= 0.25
@@ -515,6 +514,30 @@ class TestBenchScenario:
         out = capsys.readouterr().out
         assert "streamed vs in-memory" in out
         assert "stream-buffered" in out
+
+    def test_cli_stream_sharded_ladder(self, capsys):
+        """``--workers 2`` adds the worker-scaling table to the ladder."""
+        from repro.experiments.cli import main
+
+        rc = main(
+            [
+                "stream",
+                "--nodes",
+                "1",
+                "--instances",
+                "sparsine",
+                "--scale",
+                "0.1",
+                "--workers",
+                "2",
+            ]
+        )
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert "streamed vs in-memory" in out
+        assert "sharded streaming scaling" in out
+        assert "payload_B" in out
+        assert "vs_full" in out
 
     def test_cli_family_run_reads_every_knob(self, capsys):
         """Regression: the suite-instance family run was built from the

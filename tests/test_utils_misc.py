@@ -1,11 +1,10 @@
-"""Tests for tables, heatmaps, timing and validation utilities."""
+"""Tests for tables, heatmaps and validation utilities."""
 
 import numpy as np
 import pytest
 
 from repro.utils.heatmap import ascii_heatmap, downsample_matrix, log_scale
 from repro.utils.tables import format_kv, format_number, format_table
-from repro.utils.timing import Stopwatch
 from repro.utils.validation import (
     check_array_shape,
     check_in_range,
@@ -119,18 +118,6 @@ class TestAsciiHeatmap:
 
     def test_constant_matrix_does_not_crash(self):
         ascii_heatmap(np.full((5, 5), 3.0))
-
-
-class TestStopwatch:
-    def test_accumulates(self):
-        sw = Stopwatch()
-        with sw.measure("a"):
-            pass
-        with sw.measure("a"):
-            pass
-        assert sw.total("a") >= 0.0
-        assert sw.total("missing") == 0.0
-        assert "a" in sw.summary()
 
 
 class TestValidation:
