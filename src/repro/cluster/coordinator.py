@@ -52,6 +52,20 @@ __all__ = ["DistributedStreamer", "ClusterRounds"]
 _LINK_ERRORS = (OSError, socket.timeout, ProtocolError)
 
 
+def chunk_frames(stream: ChunkStream, lo: int, hi: int):
+    """The ``chunk`` frames that ship chunks ``[lo, hi)`` to a worker."""
+    for c, chunk in enumerate(stream.iter_range(lo, hi), start=lo):
+        start, stop = stream.chunk_bounds(c)
+        yield {
+            "type": "chunk",
+            "start": int(start),
+            "stop": int(stop),
+            "vertex_ptr": chunk.vertex_ptr,
+            "vertex_edges": chunk.vertex_edges,
+            "vertex_weights": chunk.vertex_weights,
+        }
+
+
 class _WorkerLink:
     """One coordinator-to-worker connection with wire accounting.
 
@@ -601,17 +615,8 @@ class DistributedStreamer(ShardedStreamer):
                     and ack.get("compress", False)
                 )
                 if self.ship == "chunks":
-                    for chunk in stream.iter_range(lo, hi):
-                        link.send(
-                            {
-                                "type": "chunk",
-                                "start": int(chunk.start),
-                                "stop": int(chunk.stop),
-                                "vertex_ptr": chunk.vertex_ptr,
-                                "vertex_edges": chunk.vertex_edges,
-                                "vertex_weights": chunk.vertex_weights,
-                            }
-                        )
+                    for chunk_frame in chunk_frames(stream, lo, hi):
+                        link.send(chunk_frame)
                 else:
                     with open(source_path, "rb") as fh:
                         while True:

@@ -51,7 +51,8 @@ from repro.cluster.protocol import (
     recv_message,
     send_message,
 )
-from repro.streaming.reader import ChunkStream, VertexChunk
+from repro.engine.blocks import VertexBlock
+from repro.streaming.reader import ChunkStream
 from repro.streaming.sharded import shard_stream_task
 
 __all__ = ["ClusterWorker"]
@@ -59,6 +60,36 @@ __all__ = ["ClusterWorker"]
 
 class _Shutdown(Exception):
     """Raised internally when a peer sends the shutdown frame."""
+
+
+def _chunk_problem(msg: dict, start: int, num_edges: int) -> "str | None":
+    """Why a shipped ``chunk`` frame is unusable, or ``None`` if it is sound.
+
+    ``start`` is where the previous frame stopped: the frames must tile
+    the shard's vertex range in order, and each must be a well-formed
+    CSR block over edge ids ``[0, num_edges)``.
+    """
+    stop = msg.get("stop")
+    if msg.get("start") != start or not isinstance(stop, int) or stop < start:
+        return f"expected a chunk from vertex {start}, got {msg.get('start')!r}"
+    n = stop - start
+    ptr, edges, weights = (
+        msg.get(k) for k in ("vertex_ptr", "vertex_edges", "vertex_weights")
+    )
+    arrays = (ptr, edges, weights)
+    if not all(isinstance(a, np.ndarray) and a.ndim == 1 for a in arrays) or (
+        ptr.dtype.kind not in "iu" or edges.dtype.kind not in "iu"
+    ):
+        return "CSR fields must be 1-d arrays (integer pointer and edges)"
+    if ptr.size != n + 1:
+        return f"vertex_ptr has {ptr.size} entries for {n} vertices"
+    if ptr[0] != 0 or ptr[-1] != edges.size or (np.diff(ptr) < 0).any():
+        return f"vertex_ptr must run non-decreasing from 0 to {edges.size}"
+    if edges.size and (edges.min() < 0 or edges.max() >= num_edges):
+        return f"edge ids outside [0, {num_edges})"
+    if weights.size != n:
+        return f"{weights.size} vertex weights for {n} vertices"
+    return None
 
 
 class _ShardSlice(ChunkStream):
@@ -73,7 +104,7 @@ class _ShardSlice(ChunkStream):
     name = "shard-slice"
 
     def __init__(
-        self, chunks: "list[VertexChunk]", lo: int, num_vertices: int
+        self, chunks: "list[VertexBlock]", lo: int, num_vertices: int
     ) -> None:
         self._chunks = chunks
         self._lo = lo
@@ -267,8 +298,9 @@ class ClusterWorker:
         """Receive the shard's data; returns a stream facade."""
         ship = hello["ship"]
         if ship == "chunks":
-            chunks: "list[VertexChunk]" = []
-            pins = 0
+            chunks: "list[VertexBlock]" = []
+            count = hello["hi"] - hello["lo"]
+            stop = hello["v_lo"]
             while True:
                 msg, _ = recv_message(conn, max_frame=self.max_frame)
                 if msg["type"] == "ingest_done":
@@ -277,18 +309,34 @@ class ClusterWorker:
                     raise ProtocolError(
                         f"expected chunk frame, got {msg['type']!r}"
                     )
+                problem = (
+                    "more chunk frames than the shard's range"
+                    if len(chunks) == count
+                    else _chunk_problem(msg, stop, len(hello["edge_weights"]))
+                )
+                if problem is not None:
+                    self._refuse(
+                        conn, "bad_chunk", f"chunk {len(chunks)}: {problem}"
+                    )
+                stop = msg["stop"]
                 chunks.append(
-                    VertexChunk(
-                        start=msg["start"],
-                        stop=msg["stop"],
+                    VertexBlock(
+                        ids=np.arange(msg["start"], stop, dtype=np.int64),
                         vertex_ptr=msg["vertex_ptr"],
                         vertex_edges=msg["vertex_edges"],
                         vertex_weights=msg["vertex_weights"],
                     )
                 )
-                pins += int(chunks[-1].vertex_edges.size)
+            if len(chunks) != count or stop != hello["v_hi"]:
+                self._refuse(
+                    conn,
+                    "bad_chunk",
+                    f"{len(chunks)} of {count} chunk frames, ending at "
+                    f"vertex {stop} of {hello['v_hi']}",
+                )
             self._log(
-                "ingested", mode="chunks", chunks=len(chunks), pins=pins
+                "ingested", mode="chunks", chunks=len(chunks),
+                pins=sum(c.num_pins for c in chunks),
             )
             return _ShardSlice(chunks, hello["lo"], hello["num_vertices"])
         if ship == "text":
@@ -340,7 +388,7 @@ class ClusterWorker:
 
     def _refuse(self, conn: socket.socket, code: str, error: str) -> None:
         """Send a stable coded error frame, then abort the session."""
-        self._log("auth_refused", code=code, error=error)
+        self._log("refused", code=code, error=error)
         try:
             send_message(
                 conn,

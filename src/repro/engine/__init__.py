@@ -6,19 +6,20 @@ parallel sharded streamer — is a thin driver around one loop:
 
 ::
 
-    VertexSource  ─────  blocks  ─────►  pass_kernel  ◄─────  Scorer
+    VertexBlocks  ─────────────────►  pass_kernel  ◄─────  Scorer
     (in-memory CSR,                     (visit → score          (Eq. 1 /
      disk chunk stream,                  → place)                FENNEL)
-     shard ranges)                          │
+     windows, shard ranges)                 │
                                             ▼
                                       KernelState
                               (dense E×p counts  |  bounded
                                LRU presence table)
 
-* :mod:`~repro.engine.blocks` — :class:`VertexBlock` (the currency),
-  the :class:`VertexSource` protocol, in-memory/chunk-stream adapters,
-  :class:`ChunkStoreSource` (memory-mapped replay of a persistent
-  binary chunk store) and shard-range splitting;
+* :mod:`~repro.engine.blocks` — :class:`VertexBlock` (the currency,
+  which every chunk stream yields), its three layout operations
+  (``slice``, ``take``, :func:`concat_blocks`), :func:`stream_windows`
+  (window assembly), the in-memory :class:`InMemorySource` and
+  shard-range splitting;
 * :mod:`~repro.engine.kernel` — :func:`pass_kernel`, the single
   remaining implementation of Algorithm 1's pass body, with per-vertex
   (exact) and per-chunk (vectorised matmul) scoring modes, and
@@ -35,17 +36,15 @@ parallel sharded streamer — is a thin driver around one loop:
 """
 
 from repro.engine.blocks import (
-    ChunkStoreSource,
-    FringeExpansionSource,
     InMemorySource,
     VertexBlock,
-    VertexSource,
-    block_of,
-    blocks_of,
+    concat_blocks,
     expansion_order,
     segment_gather_index,
+    segment_reduce,
     shard_ranges,
     shard_ranges_by_pins,
+    stream_windows,
 )
 from repro.engine.kernel import (
     apply_balance_cap,
@@ -79,14 +78,12 @@ from repro.engine.states import DenseKernelState
 
 __all__ = [
     "VertexBlock",
-    "VertexSource",
     "InMemorySource",
-    "FringeExpansionSource",
-    "ChunkStoreSource",
-    "block_of",
-    "blocks_of",
+    "concat_blocks",
+    "stream_windows",
     "expansion_order",
     "segment_gather_index",
+    "segment_reduce",
     "shard_ranges",
     "shard_ranges_by_pins",
     "pass_kernel",

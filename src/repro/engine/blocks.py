@@ -1,34 +1,34 @@
-"""Vertex blocks and sources — the input side of the pass kernel.
+"""Vertex blocks — the input side of the pass kernel.
 
 Every stream-pass loop in the repository consumes the same currency: a
 group of vertices with their incident hyperedge lists in local CSR form
-plus their weights.  :class:`VertexBlock` is that currency, and a
-:class:`VertexSource` is anything that yields blocks in stream order:
+plus their weights.  :class:`VertexBlock` is that currency, and this
+module owns its layout:
 
+* the out-of-core readers of :mod:`repro.streaming.reader`, the chunk
+  store and the cluster worker yield one block per chunk (``ids =
+  arange(start, stop)``);
+* :meth:`VertexBlock.slice` cuts rebased zero-copy views,
+  :meth:`VertexBlock.take` gathers rows in any order and
+  :func:`concat_blocks` joins blocks into fresh arrays — every window,
+  sub-block and gather is built from these three;
+* :func:`stream_windows` groups arriving blocks into the windows the
+  buffered restreamer and the similarity-ordered min-max streamer
+  restream;
 * :class:`InMemorySource` — blocks over an in-memory
   :class:`~repro.hypergraph.model.Hypergraph`, in natural or arbitrary
-  (e.g. shuffled) vertex order.  Natural-order blocks are zero-copy views
-  of the CSR arrays; arbitrary orders gather per block.
-* chunk streams — the out-of-core readers of
-  :mod:`repro.streaming.reader` yield :class:`VertexChunk` objects, which
-  :func:`block_of` converts (the chunk *is* the block; only the explicit
-  global-id array is added).
-* sharded ranges — :func:`shard_ranges` splits a chunk index range into
-  contiguous per-worker shards; each worker then draws its blocks from
+  (e.g. shuffled, or :func:`expansion_order`) vertex order.
+  Natural-order blocks are zero-copy views of the CSR arrays;
+  arbitrary orders gather per block;
+* :func:`shard_ranges` splits a chunk index range into contiguous
+  per-worker shards; each worker then draws its blocks from
   ``stream.iter_range`` (see :mod:`repro.engine.parallel`).
-* persistent stores — :class:`ChunkStoreSource` replays a saved binary
-  chunk store (:mod:`repro.streaming.chunkstore`) as memory-mapped
-  zero-copy blocks, so restreaming passes skip text ingest entirely.
-
-Unlike :class:`~repro.streaming.reader.VertexChunk`, a block's vertex ids
-need not be contiguous — restream windows and shuffled orders carry an
-explicit ``ids`` array.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Protocol, runtime_checkable
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -36,14 +36,12 @@ from repro.hypergraph.model import Hypergraph
 
 __all__ = [
     "VertexBlock",
-    "VertexSource",
     "InMemorySource",
-    "FringeExpansionSource",
-    "ChunkStoreSource",
-    "block_of",
-    "blocks_of",
+    "concat_blocks",
+    "stream_windows",
     "expansion_order",
     "segment_gather_index",
+    "segment_reduce",
     "shard_ranges",
     "shard_ranges_by_pins",
 ]
@@ -68,19 +66,44 @@ def segment_gather_index(global_starts: np.ndarray, degs: np.ndarray) -> np.ndar
     )
 
 
+def segment_reduce(ufunc, values: np.ndarray, ptr: np.ndarray, fill=0) -> np.ndarray:
+    """``ufunc`` reduced over each CSR segment ``values[ptr[i]:ptr[i+1]]``.
+
+    Row ``i`` of the result reduces segment ``i`` along axis 0; an empty
+    segment gets ``fill`` (``ufunc.reduceat`` mis-handles those).
+    """
+    out = np.full((ptr.size - 1, *values.shape[1:]), fill, dtype=values.dtype)
+    nonzero = np.diff(ptr) > 0
+    if nonzero.any():
+        out[nonzero] = ufunc.reduceat(values, ptr[:-1][nonzero], axis=0)
+    return out
+
+
 @dataclass(frozen=True)
 class VertexBlock:
     """A group of vertices in local CSR form.
 
     ``vertex_edges[vertex_ptr[i]:vertex_ptr[i+1]]`` are the global
     hyperedge ids incident to the block's ``i``-th vertex, whose global id
-    is ``ids[i]``.
+    is ``ids[i]``; ``vertex_ptr[0]`` is 0.  Blocks read from a stream are
+    contiguous (``ids = arange(start, stop)``) with each vertex's edges
+    sorted ascending; windows and reordered blocks carry any ids.
     """
 
     ids: np.ndarray
     vertex_ptr: np.ndarray
     vertex_edges: np.ndarray
     vertex_weights: np.ndarray
+
+    @classmethod
+    def of(cls, hg: Hypergraph) -> "VertexBlock":
+        """The whole hypergraph as one natural-order block (no copies)."""
+        return cls(
+            ids=np.arange(hg.num_vertices, dtype=np.int64),
+            vertex_ptr=hg.vertex_ptr,
+            vertex_edges=hg.vertex_edges,
+            vertex_weights=hg.vertex_weights,
+        )
 
     @property
     def num_vertices(self) -> int:
@@ -94,39 +117,87 @@ class VertexBlock:
         """Incident global hyperedge ids of the block's ``i``-th vertex."""
         return self.vertex_edges[self.vertex_ptr[i] : self.vertex_ptr[i + 1]]
 
+    def slice(self, a: int, b: int) -> "VertexBlock":
+        """Rows ``[a, b)`` as views; only a non-zero pointer is rebased."""
+        ptr = self.vertex_ptr[a : b + 1]
+        base = ptr[0]
+        return VertexBlock(
+            ids=self.ids[a:b],
+            vertex_ptr=ptr - base if base else ptr,
+            vertex_edges=self.vertex_edges[base : ptr[-1]],
+            vertex_weights=self.vertex_weights[a:b],
+        )
 
-@runtime_checkable
-class VertexSource(Protocol):
-    """Anything that can feed the pass kernel."""
+    def take(self, rows: np.ndarray) -> "VertexBlock":
+        """Rows ``rows`` in that order, gathered into new arrays."""
+        starts = self.vertex_ptr[rows]
+        degs = self.vertex_ptr[rows + 1] - starts
+        ptr = np.zeros(rows.size + 1, dtype=np.int64)
+        np.cumsum(degs, out=ptr[1:])
+        return VertexBlock(
+            ids=self.ids[rows],
+            vertex_ptr=ptr,
+            vertex_edges=self.vertex_edges[segment_gather_index(starts, degs)],
+            vertex_weights=self.vertex_weights[rows],
+        )
 
-    def blocks(self) -> Iterator[VertexBlock]:
-        """Yield the source's vertices as blocks, in stream order."""
-        ...
 
+def concat_blocks(blocks: Sequence[VertexBlock]) -> VertexBlock:
+    """Join blocks end to end into one block of fresh arrays.
 
-def block_of(chunk) -> VertexBlock:
-    """Adapt a contiguous :class:`~repro.streaming.reader.VertexChunk`.
-
-    The chunk *is* the block — its CSR arrays are reused as-is; only the
-    explicit global-id array (``arange(start, stop)``) is added.
+    Always copies (a lone block too), so the result outlives any
+    memory-mapped or reused buffer its inputs viewed; ids and edges come
+    out ``int64``, weights ``float64``.
     """
+    sizes = [b.num_vertices for b in blocks]
+    ptr = np.zeros(sum(sizes) + 1, dtype=np.int64)
+    pos = offset = 0
+    for b, n in zip(blocks, sizes):
+        ptr[pos + 1 : pos + n + 1] = b.vertex_ptr[1:] + offset
+        pos += n
+        offset += b.num_pins
+
+    def join(arrays, dtype) -> np.ndarray:
+        return np.concatenate([np.empty(0, dtype=dtype), *arrays])
+
     return VertexBlock(
-        ids=np.arange(chunk.start, chunk.stop, dtype=np.int64),
-        vertex_ptr=chunk.vertex_ptr,
-        vertex_edges=chunk.vertex_edges,
-        vertex_weights=chunk.vertex_weights,
+        ids=join([b.ids for b in blocks], np.int64),
+        vertex_ptr=ptr,
+        vertex_edges=join([b.vertex_edges for b in blocks], np.int64),
+        vertex_weights=join([b.vertex_weights for b in blocks], np.float64),
     )
 
 
-def blocks_of(chunks: Iterable) -> Iterator[VertexBlock]:
-    """Adapt an iterable of chunks (e.g. a ``ChunkStream``) lazily.
+def stream_windows(
+    blocks: Iterable[VertexBlock], size: "int | None", *, split: bool = True
+) -> Iterator[VertexBlock]:
+    """Group arriving blocks into windows, each yielded as one block.
 
-    Yields one :class:`VertexBlock` per chunk via :func:`block_of`; the
-    underlying stream controls chunk residency, so the adaptation adds
-    no memory beyond the id arrays.
+    A window closes once it holds ``size`` vertices (``None``: the whole
+    stream is one window), and whatever is held closes at end of stream;
+    each is one :func:`concat_blocks` copy.  With ``split`` an arriving
+    block is cut at the window boundary, so no window exceeds ``size``;
+    without it blocks stay whole and a window closes on the block that
+    reaches ``size``.  Blocks are drawn lazily: the next block is pulled
+    only after every window before it has been consumed.
     """
-    for chunk in chunks:
-        yield block_of(chunk)
+    held: "list[VertexBlock]" = []
+    count = 0
+    for block in blocks:
+        if split and size is not None:
+            while count + block.num_vertices > size:
+                room = size - count
+                held.append(block.slice(0, room))
+                block = block.slice(room, block.num_vertices)
+                yield concat_blocks(held)
+                held, count = [], 0
+        held.append(block)
+        count += block.num_vertices
+        if size is not None and count >= size:
+            yield concat_blocks(held)
+            held, count = [], 0
+    if count:
+        yield concat_blocks(held)
 
 
 class InMemorySource:
@@ -154,45 +225,19 @@ class InMemorySource:
     ) -> None:
         if block_size is not None and block_size < 1:
             raise ValueError(f"block_size must be >= 1 or None, got {block_size}")
-        self.hg = hg
-        self.order = order
+        self.whole = VertexBlock.of(hg)
+        natural = order is None or bool(np.array_equal(order, self.whole.ids))
+        self.order = None if natural else order
         self.block_size = block_size
-        self._natural = order is None or bool(
-            np.array_equal(order, np.arange(hg.num_vertices))
-        )
 
     def blocks(self) -> Iterator[VertexBlock]:
-        hg = self.hg
-        order = (
-            np.arange(hg.num_vertices, dtype=np.int64)
-            if self.order is None
-            else self.order
-        )
-        size = self.block_size or max(1, order.size)
-        vptr, vedges, weights = hg.vertex_ptr, hg.vertex_edges, hg.vertex_weights
-        for start in range(0, order.size, size):
-            ids = order[start : start + size]
-            if self._natural:
-                lo, hi = int(ids[0]), int(ids[-1]) + 1
-                base = vptr[lo]
-                yield VertexBlock(
-                    ids=ids,
-                    vertex_ptr=vptr[lo : hi + 1] - base,
-                    vertex_edges=vedges[base : vptr[hi]],
-                    vertex_weights=weights[lo:hi],
-                )
-                continue
-            # Arbitrary order: gather the concatenated incident-edge
-            # lists of the block with one segmented fancy index.
-            degs = vptr[ids + 1] - vptr[ids]
-            ptr = np.zeros(ids.size + 1, dtype=np.int64)
-            np.cumsum(degs, out=ptr[1:])
-            yield VertexBlock(
-                ids=ids,
-                vertex_ptr=ptr,
-                vertex_edges=vedges[segment_gather_index(vptr[ids], degs)],
-                vertex_weights=weights[ids],
-            )
+        n = self.whole.num_vertices
+        size = self.block_size or max(1, n)
+        for a in range(0, n, size):
+            if self.order is None:
+                yield self.whole.slice(a, min(a + size, n))
+            else:
+                yield self.whole.take(self.order[a : a + size])
 
 
 def expansion_order(
@@ -256,102 +301,6 @@ def expansion_order(
                     queued[u] = True
                     heapq.heappush(heap, (int(degrees[u]), u))
     return order
-
-
-class FringeExpansionSource:
-    """Blocks over an in-memory hypergraph in fringe-expansion order.
-
-    The :class:`VertexSource` face of :func:`expansion_order`: block
-    ``k`` holds the ``k``-th slice of the expansion, so a place-only
-    kernel pass fills parts neighbourhood by neighbourhood instead of in
-    arrival order.  This stresses the presence table very differently
-    from sequential streaming — consecutive vertices share nets, so the
-    LRU working set is the *fringe's* nets, not the arrival window's.
-
-    The order is computed lazily on first use and cached; gathering the
-    reordered CSR reuses :class:`InMemorySource`'s segmented fancy
-    indexing.
-
-    Parameters
-    ----------
-    hg:
-        the hypergraph.
-    block_size:
-        vertices per block (``None`` = one block, right for per-vertex
-        scoring).
-    max_expand_net:
-        hub-net expansion guard, see :func:`expansion_order`.
-    """
-
-    def __init__(
-        self,
-        hg: Hypergraph,
-        *,
-        block_size: "int | None" = None,
-        max_expand_net: "int | None" = 256,
-    ) -> None:
-        if block_size is not None and block_size < 1:
-            raise ValueError(f"block_size must be >= 1 or None, got {block_size}")
-        self.hg = hg
-        self.block_size = block_size
-        self.max_expand_net = max_expand_net
-        self._order: "np.ndarray | None" = None
-
-    @property
-    def order(self) -> np.ndarray:
-        """The cached expansion order (computed on first access)."""
-        if self._order is None:
-            self._order = expansion_order(
-                self.hg, max_expand_net=self.max_expand_net
-            )
-        return self._order
-
-    def blocks(self) -> Iterator[VertexBlock]:
-        return InMemorySource(
-            self.hg, order=self.order, block_size=self.block_size
-        ).blocks()
-
-
-class ChunkStoreSource:
-    """Blocks replayed from a persistent on-disk chunk store.
-
-    The :class:`VertexSource` face of
-    :class:`~repro.streaming.chunkstore.ChunkStoreStream`: point it at a
-    store directory (written by ``ChunkStream.save``) and every
-    :meth:`blocks` call replays the stored chunks as memory-mapped
-    zero-copy blocks — no text parsing, no spill files.  Restreaming
-    drivers can call :meth:`blocks` once per pass; sharded workers pass
-    a chunk range so each worker maps only its shard.
-
-    Parameters
-    ----------
-    path:
-        store directory (see :func:`repro.streaming.chunkstore.
-        open_store`).
-    chunk_range:
-        optional ``(lo, hi)`` chunk-index range to replay (a shard);
-        ``None`` replays the whole store.
-    expected_digest:
-        optional source digest the store manifest must match.
-    """
-
-    def __init__(
-        self,
-        path,
-        *,
-        chunk_range: "tuple[int, int] | None" = None,
-        expected_digest: "str | None" = None,
-    ) -> None:
-        # Lazy import: repro.streaming drivers import this package.
-        from repro.streaming.chunkstore import open_store
-
-        self.stream = open_store(path, expected_digest=expected_digest)
-        self.chunk_range = chunk_range
-
-    def blocks(self) -> Iterator[VertexBlock]:
-        """Replay the stored chunks (or the configured range) as blocks."""
-        lo, hi = self.chunk_range or (0, self.stream.num_chunks)
-        return blocks_of(self.stream.iter_range(lo, hi))
 
 
 def shard_ranges(num_chunks: int, workers: int) -> "list[tuple[int, int]]":

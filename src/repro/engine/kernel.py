@@ -120,9 +120,9 @@ def pass_kernel(
     ----------
     blocks:
         iterable of :class:`~repro.engine.blocks.VertexBlock` in stream
-        order (a :class:`~repro.engine.blocks.VertexSource`'s
-        ``blocks()``, ``blocks_of(chunk_stream)``, a single restream
-        window, ...).
+        order (an :class:`~repro.engine.blocks.InMemorySource`'s
+        ``blocks()``, a chunk stream itself, a single restream window,
+        ...).
     state:
         kernel state (see :mod:`repro.engine.states` for the protocol);
         its ``loads`` and counts are mutated in place.

@@ -177,8 +177,8 @@ class HypeScorer:
     neighbours that would become external.  There is no load term —
     exactly as in HYPE, parts fill to a hard size bound (the kernel's
     balance cap) and the expansion then spills into the next part.
-    Pair with :class:`~repro.engine.blocks.FringeExpansionSource` so the
-    visit order is neighbourhood expansion rather than arrival order.
+    Pair with :func:`~repro.engine.blocks.expansion_order` so the visit
+    order is neighbourhood expansion rather than arrival order.
 
     Parameters
     ----------

@@ -30,6 +30,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.engine.blocks import segment_reduce
+
 __all__ = ["DenseKernelState"]
 
 
@@ -111,17 +113,7 @@ class DenseKernelState:
         ``edges`` is the block's concatenated incident-edge array and
         ``ptr`` its local CSR offsets (``m + 1`` entries).
         """
-        m = ptr.size - 1
-        X = np.zeros((m, self.num_parts), dtype=self.edge_counts.dtype)
-        if edges.size:
-            # reduceat mis-handles empty segments, so sum only the rows
-            # of non-isolated vertices (isolated rows stay 0).
-            degs = np.diff(ptr)
-            nonzero = degs > 0
-            X[nonzero] = np.add.reduceat(
-                self.edge_counts[edges], ptr[:-1][nonzero], axis=0
-            )
-        return X
+        return segment_reduce(np.add, self.edge_counts[edges], ptr)
 
     def _scatter(self, edges, ptr, parts, sign: int) -> None:
         # unique() merges duplicate (edge, part) keys so one fancy-indexed

@@ -38,17 +38,6 @@ class HypergraphStats:
     max_degree: int
     isolated_vertices: int
 
-    def table1_row(self) -> list:
-        """Row in the paper's Table 1 column order."""
-        return [
-            self.name,
-            self.num_vertices,
-            self.num_edges,
-            self.num_pins,
-            round(self.avg_cardinality, 2),
-            round(self.edge_vertex_ratio, 2),
-        ]
-
     def as_dict(self) -> dict:
         return asdict(self)
 

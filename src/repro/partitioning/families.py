@@ -9,7 +9,7 @@ them reachable from the Python API, the ``stream`` CLI and the service
 
 * :class:`NeighborhoodExpansion` (``hype``) — HYPE-style neighbourhood
   expansion (Mayer et al.): visit vertices in fringe-expansion order
-  (:class:`~repro.engine.blocks.FringeExpansionSource`), score with the
+  (:func:`~repro.engine.blocks.expansion_order`), score with the
   external-neighbour-minimisation
   :class:`~repro.engine.scorers.HypeScorer`, and let the kernel's hard
   balance cap provide HYPE's part-size bound — parts fill neighbourhood
@@ -56,21 +56,21 @@ from repro.core.metrics import cut_edges, cut_from_counts
 from repro.core.result import PartitionResult
 from repro.engine import (
     DenseKernelState,
-    FringeExpansionSource,
     HypeScorer,
     InMemorySource,
     MinMaxScorer,
     ShardPlacement,
-    VertexBlock,
-    blocks_of,
     check_knobs,
+    concat_blocks,
+    expansion_order,
     pass_kernel,
     run_shards,
     run_tasks,
-    segment_gather_index,
+    segment_reduce,
     shard_bounds,
     shard_ranges,
     shard_ranges_by_pins,
+    stream_windows,
 )
 from repro.hypergraph.model import Hypergraph
 from repro.streaming.reader import DEFAULT_CHUNK_SIZE, assemble
@@ -195,10 +195,7 @@ class NeighborhoodExpansion(Partitioner):
         # The score never reads C — HYPE is architecture-blind; resolve
         # only to validate the argument.
         resolve_cost_matrix(cost_matrix, p)
-        source = FringeExpansionSource(
-            hg, block_size=self.chunk_size, max_expand_net=self.max_expand_net
-        )
-        order = source.order
+        order = expansion_order(hg, max_expand_net=self.max_expand_net)
         total_weight = hg.total_vertex_weight()
         scorer = HypeScorer(self.expansion_penalty)
 
@@ -375,11 +372,9 @@ class MinMaxState(StreamingState):
     def gather_block(
         self, rows_all: np.ndarray, vertex_ptr: np.ndarray
     ) -> np.ndarray:
-        m = vertex_ptr.size - 1
         p = self.num_parts
-        X = np.zeros((m, p), dtype=np.int64)
         if rows_all.size == 0:
-            return X
+            return np.zeros((vertex_ptr.size - 1, p), dtype=np.int64)
         uniq, inverse = np.unique(rows_all, return_inverse=True)
         slots = self._slots
         slot_arr = np.empty(uniq.size, dtype=np.int64)
@@ -393,12 +388,7 @@ class MinMaxState(StreamingState):
         presence_uniq = np.zeros((uniq.size, p), dtype=np.int64)
         tracked = slot_arr >= 0
         presence_uniq[tracked] = self._table[slot_arr[tracked]] > 0
-        seg = presence_uniq[inverse]
-        degs = np.diff(vertex_ptr)
-        nonzero = degs > 0
-        if nonzero.any():
-            X[nonzero] = np.add.reduceat(seg, vertex_ptr[:-1][nonzero], axis=0)
-        return X
+        return segment_reduce(np.add, presence_uniq[inverse], vertex_ptr)
 
     def _recount(self) -> None:
         n = len(self._slots)
@@ -578,8 +568,10 @@ class MinMaxStreamer(StreamPartitioner):
         )
         cap = self.balance_slack * shard_weight / p
         t_pass = time.perf_counter()
+        if self.buffer_size is not None:
+            chunks = self._similarity_windows(chunks)
         kernel_mode = pass_kernel(
-            self._blocks(chunks),
+            chunks,
             state,
             scorer,
             assignment,
@@ -593,12 +585,7 @@ class MinMaxStreamer(StreamPartitioner):
             "pass_seconds": time.perf_counter() - t_pass,
         }
 
-    def _blocks(self, chunks):
-        if self.buffer_size is None:
-            return blocks_of(chunks)
-        return self._similarity_blocks(chunks)
-
-    def _similarity_blocks(self, chunks):
+    def _similarity_windows(self, chunks):
         """Window the arrivals and reorder each window by net similarity.
 
         Vertices are grouped by their lowest incident net id (stable,
@@ -607,54 +594,12 @@ class MinMaxStreamer(StreamPartitioner):
         placement just updated — the locality the buffered variants of
         arXiv:2103.05394 engineer with their similarity orders.
         """
-        ids_parts: "list[np.ndarray]" = []
-        degs_parts: "list[np.ndarray]" = []
-        edges_parts: "list[np.ndarray]" = []
-        weights_parts: "list[np.ndarray]" = []
-        held = 0
-
-        def flush():
-            nonlocal held, ids_parts, degs_parts, edges_parts, weights_parts
-            ids = np.concatenate(ids_parts)
-            degs = np.concatenate(degs_parts)
-            edges = np.concatenate(edges_parts)
-            weights = np.concatenate(weights_parts)
-            ptr = np.zeros(ids.size + 1, dtype=np.int64)
-            np.cumsum(degs, out=ptr[1:])
-            key = np.full(ids.size, np.iinfo(np.int64).max, dtype=np.int64)
-            nonzero = degs > 0
-            if nonzero.any():
-                key[nonzero] = np.minimum.reduceat(edges, ptr[:-1][nonzero])
-            order = np.lexsort((ids, key))
-            new_degs = degs[order]
-            new_ptr = np.zeros(ids.size + 1, dtype=np.int64)
-            np.cumsum(new_degs, out=new_ptr[1:])
-            block = VertexBlock(
-                ids=ids[order],
-                vertex_ptr=new_ptr,
-                vertex_edges=edges[segment_gather_index(ptr[:-1][order], new_degs)],
-                vertex_weights=weights[order],
+        for window in stream_windows(chunks, self.buffer_size, split=False):
+            key = segment_reduce(
+                np.minimum, window.vertex_edges, window.vertex_ptr,
+                np.iinfo(np.int64).max,
             )
-            ids_parts, degs_parts, edges_parts, weights_parts = [], [], [], []
-            held = 0
-            return block
-
-        for chunk in chunks:
-            ids_parts.append(
-                np.arange(chunk.start, chunk.stop, dtype=np.int64)
-            )
-            degs_parts.append(
-                np.diff(np.asarray(chunk.vertex_ptr, dtype=np.int64))
-            )
-            edges_parts.append(np.asarray(chunk.vertex_edges, dtype=np.int64))
-            weights_parts.append(
-                np.asarray(chunk.vertex_weights, dtype=np.float64)
-            )
-            held += int(chunk.stop - chunk.start)
-            if held >= self.buffer_size:
-                yield flush()
-        if held:
-            yield flush()
+            yield window.take(np.lexsort((window.ids, key)))
 
 
 # ----------------------------------------------------------------------
@@ -795,15 +740,11 @@ def refine_blocks(
     """
     refine = refine or RefineConfig()
     blocks = list(blocks)
-    counts = np.zeros((num_edges, num_parts), dtype=np.int64)
-    flat = counts.reshape(-1)
-    loads = np.zeros(num_parts, dtype=np.float64)
+    state = DenseKernelState.empty(num_edges, num_parts)
+    counts, loads = state.edge_counts, state.loads
     for block in blocks:
         parts = assignment[block.ids]
-        degs = np.diff(block.vertex_ptr)
-        keys = block.vertex_edges * num_parts + np.repeat(parts, degs)
-        uniq, cnt = np.unique(keys, return_counts=True)
-        flat[uniq] += cnt
+        state.insert_block(block.vertex_edges, block.vertex_ptr, parts)
         loads += np.bincount(
             parts, weights=block.vertex_weights, minlength=num_parts
         )
@@ -880,18 +821,6 @@ def refine_partition(
     )
 
 
-def _snapshot_block(block: VertexBlock) -> VertexBlock:
-    """Deep-copy a block (stream chunks may reuse or unmap buffers)."""
-    return VertexBlock(
-        ids=np.array(block.ids, dtype=np.int64, copy=True),
-        vertex_ptr=np.array(block.vertex_ptr, dtype=np.int64, copy=True),
-        vertex_edges=np.array(block.vertex_edges, dtype=np.int64, copy=True),
-        vertex_weights=np.array(
-            block.vertex_weights, dtype=np.float64, copy=True
-        ),
-    )
-
-
 class PolishedStreamer(Partitioner):
     """Attach the FM-style boundary polish to any partitioner via ``refine=``.
 
@@ -941,7 +870,8 @@ class PolishedStreamer(Partitioner):
         result = self.base.partition_stream(
             stream, num_parts, cost_matrix=cost_matrix, seed=seed
         )
-        blocks = [_snapshot_block(b) for b in blocks_of(stream)]
+        # copies: stream chunks may reuse or unmap their buffers
+        blocks = [concat_blocks([b]) for b in stream]
         refined = np.array(result.assignment, dtype=np.int64, copy=True)
         refined, stats = refine_blocks(
             blocks,

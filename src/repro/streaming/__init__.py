@@ -8,13 +8,14 @@ massive-scale placement of HYPE, arXiv:1810.11319 — makes explicit):
 
 * :mod:`~repro.streaming.reader` — one-pass chunked ingestion of hMetis
   and MatrixMarket sources.  Pins spill to per-chunk temporary files
-  through a bounded buffer and come back as :class:`VertexChunk` CSR
-  slices, so peak resident pin memory is O(chunk + buffer) regardless of
-  file size.  Shares the strict validation of :mod:`repro.hypergraph.io`.
-  Sources need not be files: the readers accept any byte source — an
-  open file, ``bytes``, or an iterable of byte blocks — which is how the
-  HTTP service (:mod:`repro.service`) parses uploads straight off the
-  socket without materialising them.
+  through a bounded buffer and come back as
+  :class:`~repro.engine.blocks.VertexBlock` CSR slices, so peak resident
+  pin memory is O(chunk + buffer) regardless of file size.  Shares the
+  strict validation of :mod:`repro.hypergraph.io`.  Sources need not be
+  files: the readers accept any byte source — an open file, ``bytes``,
+  or an iterable of byte blocks — which is how the HTTP service
+  (:mod:`repro.service`) parses uploads straight off the socket without
+  materialising them.
 * :mod:`~repro.streaming.state` — :class:`StreamingState`: exact
   per-partition loads plus a capped, LRU-evicting per-hyperedge presence
   table; the bounded stand-in for the dense ``(E x p)`` count matrix.
@@ -60,7 +61,6 @@ from repro.streaming.reader import (
     HmetisChunkStream,
     HypergraphChunkStream,
     MatrixMarketChunkStream,
-    VertexChunk,
     assemble,
     stream_hmetis,
     stream_matrix_market,
@@ -82,7 +82,6 @@ from repro.streaming.sharded import ShardedStreamer
 __all__ = [
     "DEFAULT_CHUNK_SIZE",
     "ChunkStream",
-    "VertexChunk",
     "HmetisChunkStream",
     "MatrixMarketChunkStream",
     "HypergraphChunkStream",

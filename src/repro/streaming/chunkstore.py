@@ -43,7 +43,8 @@ from typing import Iterator
 import numpy as np
 
 from repro.hypergraph.io import HypergraphFormatError
-from repro.streaming.reader import ChunkStream, VertexChunk
+from repro.engine.blocks import VertexBlock
+from repro.streaming.reader import ChunkStream
 
 __all__ = [
     "CHUNKSTORE_VERSION",
@@ -177,11 +178,12 @@ def write_store(
             offset += raw.size * dtype.itemsize
             return section
 
-        for chunk in stream:
+        for c, chunk in enumerate(stream):
+            start, stop = stream.chunk_bounds(c)
             chunks_meta.append(
                 {
-                    "start": int(chunk.start),
-                    "stop": int(chunk.stop),
+                    "start": int(start),
+                    "stop": int(stop),
                     "num_pins": int(chunk.num_pins),
                     "starts": put(chunk.vertex_ptr, _INT),
                     "edge_ids": put(chunk.vertex_edges, _INT),
@@ -399,14 +401,13 @@ class ChunkStoreStream(ChunkStream):
             [int(c["num_pins"]) for c in self._chunks_meta], dtype=np.int64
         )
 
-    def iter_range(self, lo: int, hi: int) -> Iterator[VertexChunk]:
+    def iter_range(self, lo: int, hi: int) -> Iterator[VertexBlock]:
         """Yield chunks ``lo <= c < hi`` as zero-copy memmap views."""
         for c in range(lo, hi):
             meta = self._chunks_meta[c]
             start, stop = int(meta["start"]), int(meta["stop"])
-            chunk = VertexChunk(
-                start=start,
-                stop=stop,
+            chunk = VertexBlock(
+                ids=np.arange(start, stop, dtype=np.int64),
                 vertex_ptr=self._section(meta["starts"], _INT),
                 vertex_edges=self._section(meta["edge_ids"], _INT),
                 vertex_weights=self.vertex_weights[start:stop],

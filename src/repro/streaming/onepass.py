@@ -39,7 +39,6 @@ from repro.engine import (
     FennelScorer,
     HyperPRAWScorer,
     ShardPlacement,
-    blocks_of,
     check_knobs,
     pass_kernel,
     stitch_shards,
@@ -316,7 +315,7 @@ class OnePassStreamer(StreamPartitioner):
             )
         t_pass = time.perf_counter()
         kernel_mode = pass_kernel(
-            blocks_of(chunks),
+            chunks,
             state,
             scorer,
             assignment,

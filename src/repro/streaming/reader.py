@@ -12,10 +12,11 @@ the whole pin array in memory**:
    per-chunk temporary files on disk.  Peak resident pins during ingest is
    the buffer size, independent of the file size.
 2. **Iteration**: chunks are loaded one at a time from their spill files
-   and yielded as :class:`VertexChunk` CSR slices (vertex -> incident
-   hyperedge ids, exactly the direction the streaming partitioners
-   consume).  A stream is re-iterable — restreaming passes re-read the
-   spill files rather than caching chunks.
+   and yielded as :class:`~repro.engine.blocks.VertexBlock` CSR slices
+   (vertex -> incident hyperedge ids, exactly the direction the
+   streaming partitioners consume).  A stream is re-iterable —
+   restreaming passes re-read the spill files rather than caching
+   chunks.
 
 Per-vertex and per-hyperedge *scalar* metadata (weights, the drop-empty
 renumbering map) is O(|V| + |E|) and is kept in memory: the assignment
@@ -35,12 +36,12 @@ import os
 import shutil
 import tempfile
 import weakref
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator
 
 import numpy as np
 
+from repro.engine.blocks import VertexBlock, concat_blocks
 from repro.hypergraph.io import (
     HypergraphFormatError,
     _data_lines,
@@ -51,7 +52,6 @@ from repro.hypergraph.io import (
 from repro.hypergraph.model import Hypergraph
 
 __all__ = [
-    "VertexChunk",
     "ChunkStream",
     "HmetisChunkStream",
     "MatrixMarketChunkStream",
@@ -184,35 +184,6 @@ def _open_text_source(
     return fh, label or "<stream>", None, True
 
 
-@dataclass(frozen=True)
-class VertexChunk:
-    """A contiguous slice ``[start, stop)`` of the vertex set in CSR form.
-
-    ``vertex_edges[vertex_ptr[i]:vertex_ptr[i+1]]`` are the *global*
-    hyperedge ids incident to local vertex ``i`` (global id ``start + i``),
-    sorted ascending — the same per-vertex ordering as
-    :attr:`Hypergraph.vertex_edges`.
-    """
-
-    start: int
-    stop: int
-    vertex_ptr: np.ndarray
-    vertex_edges: np.ndarray
-    vertex_weights: np.ndarray
-
-    @property
-    def num_vertices(self) -> int:
-        return self.stop - self.start
-
-    @property
-    def num_pins(self) -> int:
-        return int(self.vertex_edges.size)
-
-    def edges_of(self, i: int) -> np.ndarray:
-        """Incident global hyperedge ids of local vertex ``i``."""
-        return self.vertex_edges[self.vertex_ptr[i] : self.vertex_ptr[i + 1]]
-
-
 # ----------------------------------------------------------------------
 # spill store
 # ----------------------------------------------------------------------
@@ -295,8 +266,8 @@ def _chunk_from_pairs(
     vertices: np.ndarray,
     edges: np.ndarray,
     weights: np.ndarray,
-) -> VertexChunk:
-    """Assemble a :class:`VertexChunk` from unordered (vertex, edge) pairs."""
+) -> VertexBlock:
+    """Assemble the block ``[start, stop)`` from unordered (vertex, edge) pairs."""
     order = np.lexsort((edges, vertices))
     vertices = vertices[order]
     edges = edges[order]
@@ -310,9 +281,8 @@ def _chunk_from_pairs(
     counts = np.bincount(vertices - start, minlength=stop - start)
     ptr = np.zeros(stop - start + 1, dtype=np.int64)
     np.cumsum(counts, out=ptr[1:])
-    return VertexChunk(
-        start=start,
-        stop=stop,
+    return VertexBlock(
+        ids=np.arange(start, stop, dtype=np.int64),
         vertex_ptr=ptr,
         vertex_edges=edges,
         vertex_weights=np.asarray(weights, dtype=np.float64),
@@ -323,7 +293,8 @@ def _chunk_from_pairs(
 # stream base
 # ----------------------------------------------------------------------
 class ChunkStream:
-    """Iterable of :class:`VertexChunk` plus global stream metadata.
+    """Chunk blocks (:class:`~repro.engine.blocks.VertexBlock`, one per
+    chunk) plus global stream metadata.
 
     Subclasses set ``name``, ``num_vertices``, ``num_edges``, ``num_pins``,
     ``chunk_size``, ``edge_weights`` and ``total_vertex_weight`` during
@@ -414,11 +385,11 @@ class ChunkStream:
             self.edge_degrees = degrees
         return self.edge_degrees
 
-    def iter_range(self, lo: int, hi: int) -> Iterator[VertexChunk]:
+    def iter_range(self, lo: int, hi: int) -> Iterator[VertexBlock]:
         """Yield chunks ``lo <= c < hi`` only (sharded streaming)."""
         raise NotImplementedError
 
-    def __iter__(self) -> Iterator[VertexChunk]:
+    def __iter__(self) -> Iterator[VertexBlock]:
         return self.iter_range(0, self.num_chunks)
 
     def save(self, path: "str | Path") -> Path:
@@ -483,10 +454,18 @@ class _SpilledChunkStream(ChunkStream):
     so hub-dominated vertex ranges yield many small chunks instead of one
     pin-heavy one.  A single bucket over budget — an irreducible hub
     vertex's neighbourhood — is emitted alone, best effort.
+
+    The constructor runs the subclass's one ingest pass, ``_ingest(label,
+    fh)``, over ``source`` (see :func:`_open_text_source`).
     """
 
     def __init__(
-        self, chunk_size: int, buffer_pins: int, pin_budget: "int | None" = None
+        self,
+        source,
+        name: "str | None",
+        chunk_size: int,
+        buffer_pins: int,
+        pin_budget: "int | None" = None,
     ) -> None:
         if chunk_size < 1:
             raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
@@ -506,6 +485,21 @@ class _SpilledChunkStream(ChunkStream):
         self._edge_remap: "np.ndarray | None" = None
         self._chunk_buckets: "list[tuple[int, int]] | None" = None
         self.vertex_weights = np.empty(0)
+        fh, label, source_path, owns = _open_text_source(
+            source, label=f"<{name}>" if name else None
+        )
+        self.name = name or (source_path.stem if source_path else "stream")
+        self.source_path = source_path
+        # A parser error mid-stream must not leak the spill directory:
+        # close (idempotent) before re-raising.
+        try:
+            self._ingest(label, fh)
+        except BaseException:
+            self.close()
+            raise
+        finally:
+            if owns:
+                fh.close()
 
     def _make_spill(self, num_vertices: int) -> _SpillStore:
         num_buckets = max(1, -(-num_vertices // self._storage_size))
@@ -537,7 +531,7 @@ class _SpilledChunkStream(ChunkStream):
             dtype=np.int64,
         )
 
-    def iter_range(self, lo: int, hi: int) -> Iterator[VertexChunk]:
+    def iter_range(self, lo: int, hi: int) -> Iterator[VertexBlock]:
         if self._spill is None:
             raise RuntimeError("stream is closed")
         self._note_resident(self._spill.peak_buffered_pins)
@@ -589,22 +583,7 @@ class HmetisChunkStream(_SpilledChunkStream):
         pin_budget: "int | None" = None,
         name: "str | None" = None,
     ) -> None:
-        super().__init__(chunk_size, buffer_pins, pin_budget)
-        fh, label, source_path, owns = _open_text_source(
-            source, label=f"<{name}>" if name else None
-        )
-        self.name = name or (source_path.stem if source_path else "stream")
-        self.source_path = source_path
-        # A parser error mid-stream must not leak the spill directory:
-        # close (idempotent) before re-raising.
-        try:
-            self._ingest(label, fh)
-        except BaseException:
-            self.close()
-            raise
-        finally:
-            if owns:
-                fh.close()
+        super().__init__(source, name, chunk_size, buffer_pins, pin_budget)
 
     def _ingest(self, path: str, fh) -> None:
         lines = _data_lines(fh)
@@ -701,27 +680,12 @@ class MatrixMarketChunkStream(_SpilledChunkStream):
         pin_budget: "int | None" = None,
         name: "str | None" = None,
     ) -> None:
-        super().__init__(chunk_size, buffer_pins, pin_budget)
         if model not in ("row-net", "column-net"):
             raise ValueError(
                 f"model must be 'row-net' or 'column-net', got {model!r}"
             )
-        fh, label, source_path, owns = _open_text_source(
-            source, label=f"<{name}>" if name else None
-        )
-        self.name = name or (source_path.stem if source_path else "stream")
         self.model = model
-        self.source_path = source_path
-        # A parser error mid-stream must not leak the spill directory:
-        # close (idempotent) before re-raising.
-        try:
-            self._ingest(label, fh)
-        except BaseException:
-            self.close()
-            raise
-        finally:
-            if owns:
-                fh.close()
+        super().__init__(source, name, chunk_size, buffer_pins, pin_budget)
 
     def _ingest(self, path: str, fh) -> None:
         banner = fh.readline()
@@ -885,6 +849,7 @@ class HypergraphChunkStream(ChunkStream):
         self.edge_degrees = np.diff(hg.edge_ptr)
         self.vertex_weights = hg.vertex_weights
         self.total_vertex_weight = hg.total_vertex_weight()
+        self._whole = VertexBlock.of(hg)
         if pin_budget is not None:
             # Degrees are known up front in memory, so boundaries are cut
             # at vertex granularity directly.
@@ -898,18 +863,9 @@ class HypergraphChunkStream(ChunkStream):
         """Exact per-chunk pin counts from the resident CSR pointers."""
         return np.diff(self.hg.vertex_ptr[self.chunk_starts()])
 
-    def iter_range(self, lo: int, hi: int) -> Iterator[VertexChunk]:
-        vptr, vedges = self.hg.vertex_ptr, self.hg.vertex_edges
+    def iter_range(self, lo: int, hi: int) -> Iterator[VertexBlock]:
         for c in range(lo, hi):
-            start, stop = self.chunk_bounds(c)
-            base = vptr[start]
-            chunk = VertexChunk(
-                start=start,
-                stop=stop,
-                vertex_ptr=vptr[start : stop + 1] - base,
-                vertex_edges=vedges[base : vptr[stop]],
-                vertex_weights=self.vertex_weights[start:stop],
-            )
+            chunk = self._whole.slice(*self.chunk_bounds(c))
             self._note_resident(chunk.num_pins)
             yield chunk
 
@@ -950,7 +906,7 @@ def stream_hmetis(
     Returns
     -------
     HmetisChunkStream
-        a re-iterable stream of :class:`VertexChunk` CSR slices; use
+        a re-iterable stream of :class:`VertexBlock` CSR slices; use
         ``.save(path)`` to persist it as a binary chunk store.
     """
     return HmetisChunkStream(
@@ -997,7 +953,7 @@ def stream_matrix_market(
     Returns
     -------
     MatrixMarketChunkStream
-        a re-iterable stream of :class:`VertexChunk` CSR slices; use
+        a re-iterable stream of :class:`VertexBlock` CSR slices; use
         ``.save(path)`` to persist it as a binary chunk store.
     """
     return MatrixMarketChunkStream(
@@ -1018,22 +974,8 @@ def assemble(stream: ChunkStream) -> Hypergraph:
     produce, and for families that need random access (HYPE's fringe
     serves chunk streams through it).
     """
-    ptr_parts = [np.zeros(1, dtype=np.int64)]
-    edge_parts: "list[np.ndarray]" = []
-    weight_parts: "list[np.ndarray]" = []
-    offset = 0
-    for chunk in stream:
-        ptr_parts.append(chunk.vertex_ptr[1:] + offset)
-        offset += chunk.num_pins
-        edge_parts.append(chunk.vertex_edges)
-        weight_parts.append(chunk.vertex_weights)
-    vptr = np.concatenate(ptr_parts)
-    vedges = (
-        np.concatenate(edge_parts) if edge_parts else np.empty(0, dtype=np.int64)
-    )
-    weights = (
-        np.concatenate(weight_parts) if weight_parts else np.empty(0)
-    )
+    whole = concat_blocks(list(stream))
+    vptr, vedges = whole.vertex_ptr, whole.vertex_edges
     if vptr.size - 1 != stream.num_vertices:
         raise ValueError(
             f"stream yielded {vptr.size - 1} vertices, header declared "
@@ -1052,7 +994,7 @@ def assemble(stream: ChunkStream) -> Hypergraph:
         stream.num_vertices,
         eptr,
         pins,
-        vertex_weights=weights,
+        vertex_weights=whole.vertex_weights,
         edge_weights=stream.edge_weights,
         name=stream.name,
     )

@@ -66,99 +66,12 @@ from repro.engine import (
     pass_kernel,
     resolve_kernel,
     stitch_shards,
+    stream_windows,
 )
-from repro.streaming.reader import DEFAULT_CHUNK_SIZE, ChunkStream, VertexChunk
+from repro.streaming.reader import DEFAULT_CHUNK_SIZE, ChunkStream
 from repro.streaming.state import StreamingState, resolve_cost_matrix
 
 __all__ = ["BufferedRestreamer"]
-
-
-class _Window:
-    """Accumulated chunk segments awaiting a restream."""
-
-    def __init__(self) -> None:
-        self._chunks: "list[VertexChunk]" = []
-        self.num_vertices = 0
-
-    def append(self, chunk: VertexChunk) -> None:
-        self._chunks.append(chunk)
-        self.num_vertices += chunk.num_vertices
-
-    def block(self) -> VertexBlock:
-        """The whole window as one block (local CSR)."""
-        ids = np.concatenate(
-            [np.arange(c.start, c.stop, dtype=np.int64) for c in self._chunks]
-        )
-        ptr = np.zeros(self.num_vertices + 1, dtype=np.int64)
-        offset = 0
-        pos = 1
-        edge_parts = []
-        weight_parts = []
-        for c in self._chunks:
-            ptr[pos : pos + c.num_vertices] = c.vertex_ptr[1:] + offset
-            pos += c.num_vertices
-            offset += c.num_pins
-            edge_parts.append(c.vertex_edges)
-            weight_parts.append(c.vertex_weights)
-        edges = (
-            np.concatenate(edge_parts) if edge_parts else np.empty(0, dtype=np.int64)
-        )
-        weights = np.concatenate(weight_parts) if weight_parts else np.empty(0)
-        return VertexBlock(
-            ids=ids, vertex_ptr=ptr, vertex_edges=edges, vertex_weights=weights
-        )
-
-    def clear(self) -> None:
-        self._chunks.clear()
-        self.num_vertices = 0
-
-
-def _window_blocks(
-    window: VertexBlock, chunk_size: "int | None"
-) -> "tuple[VertexBlock, ...]":
-    """The window as one block (vertex mode), or ``chunk_size`` sub-blocks.
-
-    Sub-blocks are views into the window arrays (no copies) with the
-    local CSR rebased per block, ready for the kernel's chunk-restream
-    path (``lift_block`` + one matmul per sub-block).
-    """
-    if chunk_size is None:
-        return (window,)
-    ids, ptr = window.ids, window.vertex_ptr
-    blocks = []
-    m = ids.size
-    for a in range(0, m, chunk_size):
-        b = min(a + chunk_size, m)
-        base = ptr[a]
-        blocks.append(
-            VertexBlock(
-                ids=ids[a:b],
-                vertex_ptr=ptr[a : b + 1] - base,
-                vertex_edges=window.vertex_edges[base : ptr[b]],
-                vertex_weights=window.vertex_weights[a:b],
-            )
-        )
-    return tuple(blocks)
-
-
-def _split_chunk(chunk: VertexChunk, k: int) -> "tuple[VertexChunk, VertexChunk]":
-    """Split a chunk after its first ``k`` vertices (views, no copies)."""
-    base = chunk.vertex_ptr[k]
-    head = VertexChunk(
-        start=chunk.start,
-        stop=chunk.start + k,
-        vertex_ptr=chunk.vertex_ptr[: k + 1],
-        vertex_edges=chunk.vertex_edges[:base],
-        vertex_weights=chunk.vertex_weights[:k],
-    )
-    tail = VertexChunk(
-        start=chunk.start + k,
-        stop=chunk.stop,
-        vertex_ptr=chunk.vertex_ptr[k:] - base,
-        vertex_edges=chunk.vertex_edges[base:],
-        vertex_weights=chunk.vertex_weights[k:],
-    )
-    return head, tail
 
 
 class BufferedRestreamer(StreamPartitioner):
@@ -393,7 +306,6 @@ class BufferedRestreamer(StreamPartitioner):
     ) -> dict:
         """Round-robin-place, window and restream one shard's chunks."""
         p = state.num_parts
-        window = _Window()
         stats = {
             "batches": 0,
             "iterations": 0,
@@ -405,9 +317,19 @@ class BufferedRestreamer(StreamPartitioner):
             "pass_seconds": 0.0,
         }
 
-        def run_batch() -> None:
-            if window.num_vertices == 0:
-                return
+        def arrivals():
+            # Algorithm 1 line 1, streamed: arrivals start round-robin.
+            for chunk in chunks:
+                for i, v in enumerate(chunk.ids.tolist()):
+                    j = v % p
+                    state.place(chunk.edges_of(i), j, chunk.vertex_weights[i])
+                    assignment[v] = j
+                yield chunk
+
+        # The window bound is on vertices, not chunks: arriving chunks are
+        # split so a stream chunked coarser than the buffer cannot
+        # silently widen the window.
+        for window in stream_windows(arrivals(), self.buffer_size):
             outcome = self._restream_window(
                 window, state, C, alpha0, edge_weights, assignment, history,
                 stats["iterations"], kernel_mode,
@@ -419,39 +341,12 @@ class BufferedRestreamer(StreamPartitioner):
             stats["final_cost"] = outcome.cost
             stats["final_alpha"] = outcome.alpha
             stats["pass_seconds"] += outcome.pass_seconds
-            window.clear()
-
-        for chunk in chunks:
-            # Algorithm 1 line 1, streamed: arrivals start round-robin.
-            for i in range(chunk.num_vertices):
-                v = chunk.start + i
-                j = v % p
-                state.place(chunk.edges_of(i), j, chunk.vertex_weights[i])
-                assignment[v] = j
-            if self.buffer_size is None:
-                window.append(chunk)
-                continue
-            # The window bound is on vertices, not chunks: split arriving
-            # chunks so a stream chunked coarser than the buffer cannot
-            # silently widen the window.
-            while chunk.num_vertices > 0:
-                room = self.buffer_size - window.num_vertices
-                if chunk.num_vertices <= room:
-                    window.append(chunk)
-                    break
-                if room > 0:
-                    head, chunk = _split_chunk(chunk, room)
-                    window.append(head)
-                run_batch()
-            if window.num_vertices >= self.buffer_size:
-                run_batch()
-        run_batch()
         return stats
 
     # ------------------------------------------------------------------
     def _restream_window(
         self,
-        window: _Window,
+        win: VertexBlock,
         state: StreamingState,
         C: np.ndarray,
         alpha0: float,
@@ -464,8 +359,12 @@ class BufferedRestreamer(StreamPartitioner):
         """Run the HyperPRAW schedule over one window, then leave the
         window at the pass the schedule keeps."""
         cfg = self.config
-        win = window.block()
-        blocks = _window_blocks(win, cfg.chunk_size)
+        # chunk mode: sub-block views for the kernel's lift + matmul path
+        size = cfg.chunk_size or max(1, win.num_vertices)
+        blocks = [
+            win.slice(a, min(a + size, win.num_vertices))
+            for a in range(0, win.num_vertices, size)
+        ]
         score_mode = self._score_mode()
 
         def step(alpha: float) -> float:

@@ -69,6 +69,7 @@ for a fixed ``(seed, workers)``.  Results differ across *worker counts*
 from __future__ import annotations
 
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -85,10 +86,11 @@ from repro.engine import (
     ShardRounds,
     VertexBlock,
     check_knobs,
+    concat_blocks,
     merge_shard_tables,
     move_back,
     pass_kernel,
-    segment_gather_index,
+    segment_reduce,
     shard_bounds,
     shard_ranges,
     shard_ranges_by_pins,
@@ -716,11 +718,8 @@ def shard_stream_task(
         # moves — or the synchronised overshoot oscillates
         # and tempering never reaches tolerance.  Deltas are
         # normalised back before they reach the driver.
-        scaled_block = VertexBlock(
-            ids=block.ids,
-            vertex_ptr=block.vertex_ptr,
-            vertex_edges=block.vertex_edges,
-            vertex_weights=block.vertex_weights * nshards,
+        scaled_block = replace(
+            block, vertex_weights=block.vertex_weights * nshards
         )
 
     def move_deltas(prev: np.ndarray, new: np.ndarray) -> np.ndarray:
@@ -843,47 +842,13 @@ def _boundary_block(
     ``boundary_edges`` must be sorted ascending (as
     :func:`~repro.engine.parallel.merge_shard_tables` returns it).
     """
-    ids_parts: "list[np.ndarray]" = []
-    deg_parts: "list[np.ndarray]" = []
-    edge_parts: "list[np.ndarray]" = []
-    weight_parts: "list[np.ndarray]" = []
+    hits: "list[VertexBlock]" = []
     for chunk in stream.iter_range(lo, hi):
         if chunk.vertex_edges.size == 0:
             continue
         hit = np.isin(chunk.vertex_edges, boundary_edges)
         if not hit.any():
             continue
-        degs = np.diff(chunk.vertex_ptr)
-        nonzero = degs > 0
-        vert_hit = np.zeros(chunk.num_vertices, dtype=bool)
-        # reduceat mis-handles empty segments; non-isolated starts only.
-        vert_hit[nonzero] = np.logical_or.reduceat(
-            hit, chunk.vertex_ptr[:-1][nonzero]
-        )
-        sel = np.flatnonzero(vert_hit)
-        if sel.size == 0:
-            continue
-        ids_parts.append(chunk.start + sel)
-        weight_parts.append(chunk.vertex_weights[sel])
-        seg_degs = degs[sel]
-        deg_parts.append(seg_degs)
-        edge_parts.append(
-            chunk.vertex_edges[
-                segment_gather_index(chunk.vertex_ptr[:-1][sel], seg_degs)
-            ]
-        )
-    if not ids_parts:
-        empty = np.empty(0, dtype=np.int64)
-        return VertexBlock(
-            ids=empty, vertex_ptr=np.zeros(1, dtype=np.int64),
-            vertex_edges=empty, vertex_weights=np.empty(0),
-        )
-    degs = np.concatenate(deg_parts)
-    ptr = np.zeros(degs.size + 1, dtype=np.int64)
-    np.cumsum(degs, out=ptr[1:])
-    return VertexBlock(
-        ids=np.concatenate(ids_parts),
-        vertex_ptr=ptr,
-        vertex_edges=np.concatenate(edge_parts),
-        vertex_weights=np.concatenate(weight_parts),
-    )
+        vert_hit = segment_reduce(np.logical_or, hit, chunk.vertex_ptr, False)
+        hits.append(chunk.take(np.flatnonzero(vert_hit)))
+    return concat_blocks(hits)

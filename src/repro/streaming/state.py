@@ -37,6 +37,7 @@ from repro.architecture.cost import (
     validate_cost_matrix,
 )
 from repro.core.metrics import table_comm_cost
+from repro.engine.blocks import segment_reduce
 
 __all__ = ["StreamingState", "resolve_cost_matrix"]
 
@@ -160,11 +161,9 @@ class StreamingState:
         :meth:`gather` of vertex ``i``'s edges, evaluated against the
         chunk-start table in one vectorised pass.
         """
-        m = vertex_ptr.size - 1
         p = self.num_parts
-        X = np.zeros((m, p), dtype=np.int64)
         if rows_all.size == 0:
-            return X
+            return np.zeros((vertex_ptr.size - 1, p), dtype=np.int64)
         uniq, inverse = np.unique(rows_all, return_inverse=True)
         slots = self._slots
         slot_arr = np.empty(uniq.size, dtype=np.int64)
@@ -178,12 +177,7 @@ class StreamingState:
         counts_uniq = np.zeros((uniq.size, p), dtype=np.int64)
         tracked = slot_arr >= 0
         counts_uniq[tracked] = self._table[slot_arr[tracked]]
-        seg = counts_uniq[inverse]
-        degs = np.diff(vertex_ptr)
-        nonzero = degs > 0
-        if nonzero.any():
-            X[nonzero] = np.add.reduceat(seg, vertex_ptr[:-1][nonzero], axis=0)
-        return X
+        return segment_reduce(np.add, counts_uniq[inverse], vertex_ptr)
 
     def place(self, edges: np.ndarray, part: int, weight: float) -> None:
         """Record a (new or re-placed) pin of every ``edges`` on ``part``."""

@@ -16,7 +16,6 @@ import numpy as np
 import pytest
 
 from repro.core import HyperPRAWConfig
-from repro.engine import ChunkStoreSource, block_of
 from repro.hypergraph.io import read_hmetis, write_hmetis
 from repro.hypergraph.suite import load_instance
 from repro.streaming import (
@@ -111,15 +110,6 @@ class TestRoundTrip:
         stream.close()  # drops the map; the next iteration reopens it
         second = [c.vertex_edges.tolist() for c in stream]
         assert first == second
-
-    def test_chunk_store_source_blocks(self, corpus):
-        _, store = corpus
-        stream = open_store(store)
-        want = [block_of(c).vertex_edges.tolist() for c in stream]
-        got = [b.vertex_edges.tolist() for b in ChunkStoreSource(store).blocks()]
-        assert got == want
-        ranged = list(ChunkStoreSource(store, chunk_range=(1, 3)).blocks())
-        assert [b.vertex_edges.tolist() for b in ranged] == want[1:3]
 
 
 class TestPartitionerEquality:

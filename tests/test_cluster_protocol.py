@@ -248,6 +248,33 @@ def _full_hello(**overrides):
     return hello
 
 
+def _chunk(start, stop, ptr=None, edges=None, weights=None):
+    n = stop - start
+    return {
+        "type": "chunk", "start": start, "stop": stop,
+        "vertex_ptr": np.arange(n + 1) if ptr is None else np.asarray(ptr),
+        "vertex_edges": np.arange(n) % 4 if edges is None else np.asarray(edges),
+        "vertex_weights": np.ones(n) if weights is None else np.asarray(weights),
+    }
+
+
+#: Frame sequences a worker must refuse for ``_full_hello()`` (chunks
+#: [0, 2) = vertices [0, 8), 4 edges); each is cut at the frame the worker
+#: rejects, so nothing is left unread when it hangs up.
+BAD_CHUNK_FRAMES = {
+    "out-of-order": [_chunk(4, 8)],
+    "gap": [_chunk(0, 4), _chunk(5, 8)],
+    "too-many": [_chunk(0, 4), _chunk(4, 8), _chunk(8, 8)],
+    "too-few": [_chunk(0, 4), {"type": "ingest_done"}],
+    "short-pointer": [_chunk(0, 4, ptr=[0, 1, 2, 4])],
+    "pointer-past-edges": [_chunk(0, 2, ptr=[0, 2, 5], edges=[0, 1])],
+    "pointer-decreasing": [_chunk(0, 4, ptr=[0, 3, 2, 3, 4])],
+    "edge-out-of-range": [_chunk(0, 4, edges=[0, 1, 99, 2])],
+    "negative-edge": [_chunk(0, 4, edges=[0, -1, 2, 3])],
+    "weights-length": [_chunk(0, 4, weights=np.ones(3))],
+}
+
+
 class TestWorkerSessionFailures:
     """Worker-side protocol handling over a live (threaded) worker."""
 
@@ -305,6 +332,18 @@ class TestWorkerSessionFailures:
             send_message(sock2, {"type": "shutdown"})
             reply, _ = recv_message(sock2)
             assert reply["type"] == "bye"
+
+    @pytest.mark.parametrize("case", sorted(BAD_CHUNK_FRAMES))
+    def test_worker_rejects_bad_chunk(self, worker, case):
+        """A shipped chunk is checked before it is placed: a malformed
+        frame ends the session with a ``bad_chunk`` error frame."""
+        with self._connect(worker) as sock:
+            send_message(sock, _full_hello())
+            ack, _ = recv_message(sock)
+            for msg in BAD_CHUNK_FRAMES[case]:
+                send_message(sock, msg, version=ack["version"])
+            reply, _ = recv_message(sock)
+        assert (reply["type"], reply["code"]) == ("error", "bad_chunk")
 
     def test_worker_negotiates_down_for_v1_hello(self, worker):
         """A v1 coordinator sends no ``max_version``: the session must

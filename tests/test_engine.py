@@ -12,9 +12,13 @@ dense kernel state, shard-range splitting and the table merge.
 """
 
 import hashlib
+import socket
+import threading
 
 import numpy as np
 import pytest
+import scipy.io
+import scipy.sparse as sp
 
 from repro.architecture.cost import uniform_cost_matrix
 from repro.core import HyperPRAW, HyperPRAWConfig
@@ -26,14 +30,16 @@ from repro.engine import (
     InMemorySource,
     VertexBlock,
     apply_balance_cap,
-    block_of,
+    concat_blocks,
     fork_available,
     merge_shard_tables,
     move_back,
     pass_kernel,
     run_tasks,
     shard_ranges,
+    stream_windows,
 )
+from repro.hypergraph.io import read_matrix_market, write_hmetis
 from repro.hypergraph.suite import load_instance
 from repro.partitioning.families import PARTITIONERS
 from repro.streaming import (
@@ -41,6 +47,9 @@ from repro.streaming import (
     HypergraphChunkStream,
     OnePassStreamer,
     StreamingState,
+    open_store,
+    stream_hmetis,
+    stream_matrix_market,
 )
 
 
@@ -149,7 +158,124 @@ class TestShardedFamilyGoldens:
         assert _digest(r.assignment) == want
 
 
+#: below 32 vertices a pin-budgeted text stream buckets single vertices,
+#: so its chunk boundaries equal the in-memory stream's
+CS = 16
+
+
+def _ship_to_worker(stream, lo, hi):
+    """Ship chunks ``[lo, hi)`` as the coordinator frames them and ingest
+    them the way a cluster worker does."""
+    from repro.cluster.coordinator import chunk_frames
+    from repro.cluster.protocol import send_message
+    from repro.cluster.worker import ClusterWorker
+
+    hello = dict(
+        ship="chunks", lo=lo, hi=hi, num_vertices=stream.num_vertices,
+        v_lo=stream.chunk_bounds(lo)[0], v_hi=stream.chunk_bounds(hi - 1)[1],
+        edge_weights=stream.edge_weights,
+    )
+    a, b = socket.socketpair()
+    with a, b:
+        def ship():
+            for frame in chunk_frames(stream, lo, hi):
+                send_message(a, frame)
+            send_message(a, {"type": "ingest_done"})
+
+        sender = threading.Thread(target=ship)
+        sender.start()
+        shard = ClusterWorker()._ingest(b, hello)
+        sender.join()
+    return list(shard.iter_range(lo, hi))
+
+
+def _store(path, tmp_path):
+    return open_store(stream_hmetis(path, chunk_size=CS).save(tmp_path / "s"))
+
+
+#: name -> (blocks from the hMetis ``path``, the same blocks from the
+#: in-memory ``ref`` hypergraph's HypergraphChunkStream)
+BLOCK_PRODUCERS = {
+    "hmetis-spilling": lambda path, ref, tmp: (
+        stream_hmetis(path, chunk_size=CS, buffer_pins=7),
+        HypergraphChunkStream(ref, CS),
+    ),
+    "store-replay": lambda path, ref, tmp: (
+        _store(path, tmp), HypergraphChunkStream(ref, CS)
+    ),
+    "store-range": lambda path, ref, tmp: (
+        _store(path, tmp).iter_range(2, 5),
+        HypergraphChunkStream(ref, CS).iter_range(2, 5),
+    ),
+    "pin-budget": lambda path, ref, tmp: (
+        stream_hmetis(path, chunk_size=CS, pin_budget=40),
+        HypergraphChunkStream(ref, CS, pin_budget=40),
+    ),
+    "cluster-shipped": lambda path, ref, tmp: (
+        _ship_to_worker(stream_hmetis(path, chunk_size=CS), 1, 4),
+        HypergraphChunkStream(ref, CS).iter_range(1, 4),
+    ),
+}
+
+
 class TestVertexBlocks:
+    @pytest.mark.parametrize("producer", [*BLOCK_PRODUCERS, "matrix-market"])
+    def test_every_producer_yields_the_same_blocks(self, producer, tmp_path):
+        hg = load_instance("sparsine", scale=0.05)
+        if producer == "matrix-market":
+            path = tmp_path / "g.mtx"
+            scipy.io.mmwrite(str(path), sp.coo_matrix(hg.incidence_matrix()))
+            got = stream_matrix_market(path, chunk_size=CS)
+            want = HypergraphChunkStream(read_matrix_market(path), CS)
+        else:
+            w = np.random.default_rng(3).integers(1, 4, hg.num_vertices)
+            hg = hg.with_weights(vertex_weights=w.astype(float))
+            path = tmp_path / "g.hgr"
+            write_hmetis(hg, path, write_weights=True)
+            got, want = BLOCK_PRODUCERS[producer](path, hg, tmp_path)
+        got, want = list(got), list(want)
+        assert len(got) == len(want) > 1
+        for g, r in zip(got, want):
+            for field in ("ids", "vertex_ptr", "vertex_edges", "vertex_weights"):
+                assert np.array_equal(getattr(g, field), getattr(r, field))
+
+    @pytest.mark.parametrize("block_size", [None, 64])
+    def test_natural_order_blocks_are_views(self, instance, block_size):
+        source = InMemorySource(
+            instance,
+            order=np.arange(instance.num_vertices, dtype=np.int64),
+            block_size=block_size,
+        )
+        for block in source.blocks():
+            assert np.shares_memory(block.vertex_edges, instance.vertex_edges)
+
+    def test_slice_take_concat(self, instance):
+        whole = VertexBlock.of(instance)
+        n = whole.num_vertices
+        parts = [whole.slice(a, min(a + 50, n)) for a in range(0, n, 50)]
+        assert all(p.vertex_ptr[0] == 0 for p in parts)
+        joined = concat_blocks(parts)
+        for field in ("ids", "vertex_ptr", "vertex_edges", "vertex_weights"):
+            assert np.array_equal(getattr(joined, field), getattr(whole, field))
+        assert not np.shares_memory(joined.vertex_edges, whole.vertex_edges)
+        rows = np.random.default_rng(2).permutation(n)[:40]
+        taken = whole.take(rows)
+        for i, v in enumerate(rows):
+            assert np.array_equal(taken.edges_of(i), instance.edges_of(v))
+        assert np.array_equal(taken.vertex_weights, instance.vertex_weights[rows])
+        assert list(concat_blocks([]).vertex_ptr) == [0]
+
+    def test_stream_windows(self, instance):
+        chunks = list(HypergraphChunkStream(instance, 30))
+        n = instance.num_vertices
+        split = list(stream_windows(iter(chunks), 47))
+        assert {w.num_vertices for w in split[:-1]} == {47}
+        assert np.array_equal(concat_blocks(split).ids, np.arange(n))
+        whole = list(stream_windows(iter(chunks), 47, split=False))
+        assert {w.num_vertices for w in whole[:-1]} == {60}
+        assert sum(w.num_vertices for w in whole) == n
+        assert [w.num_vertices for w in stream_windows(chunks, None)] == [n]
+
     def test_in_memory_source_natural_covers_csr(self, instance):
         blocks = list(InMemorySource(instance, block_size=64).blocks())
         assert sum(b.num_vertices for b in blocks) == instance.num_vertices
@@ -175,13 +301,6 @@ class TestVertexBlocks:
         b = blocks[0]
         for i in range(b.num_vertices):
             assert np.array_equal(b.edges_of(i), instance.edges_of(int(b.ids[i])))
-
-    def test_block_of_chunk(self, instance):
-        chunk = next(iter(HypergraphChunkStream(instance, 40)))
-        block = block_of(chunk)
-        assert block.ids[0] == chunk.start
-        assert block.num_vertices == chunk.num_vertices
-        assert np.array_equal(block.vertex_edges, chunk.vertex_edges)
 
     def test_shard_ranges(self):
         assert shard_ranges(10, 3) == [(0, 4), (4, 7), (7, 10)]

@@ -338,7 +338,7 @@ class TestPinBudget:
         stream = stream_hmetis(path, chunk_size=64, pin_budget=80)
         for c, chunk in enumerate(stream):
             start, stop = stream.chunk_bounds(c)
-            assert (chunk.start, chunk.stop) == (start, stop)
+            assert np.array_equal(chunk.ids, np.arange(start, stop))
         assert stream.chunk_bounds(stream.num_chunks - 1)[1] == hg.num_vertices
 
     def test_iter_range_matches_full_iteration(self, tmp_path):
@@ -368,7 +368,7 @@ class TestHypergraphChunkStream:
         stream = HypergraphChunkStream(tiny_hypergraph, chunk_size=4)
         chunks = list(stream)
         assert [c.num_vertices for c in chunks] == [4, 2]
-        assert chunks[0].start == 0 and chunks[1].start == 4
+        assert chunks[0].ids[0] == 0 and chunks[1].ids[0] == 4
         assert sum(c.num_pins for c in chunks) == tiny_hypergraph.num_pins
 
 
