@@ -62,6 +62,25 @@ class _Shutdown(Exception):
     """Raised internally when a peer sends the shutdown frame."""
 
 
+class _Refusal(ProtocolError):
+    """A session fault the worker names to its peer by a stable ``code``."""
+
+    def __init__(self, code: str, error: str) -> None:
+        super().__init__(error)
+        self.code = code
+
+
+def _send_error(conn: socket.socket, error: str, code: "str | None" = None) -> None:
+    """Best-effort ``error`` frame; v1 framing, so any peer can read it."""
+    message = {"type": "error", "error": error}
+    if code is not None:
+        message["code"] = code
+    try:
+        send_message(conn, message, version=1)
+    except OSError:
+        pass  # the peer is already gone
+
+
 def _chunk_problem(msg: dict, start: int, num_edges: int) -> "str | None":
     """Why a shipped ``chunk`` frame is unusable, or ``None`` if it is sound.
 
@@ -87,6 +106,11 @@ def _chunk_problem(msg: dict, start: int, num_edges: int) -> "str | None":
         return f"vertex_ptr must run non-decreasing from 0 to {edges.size}"
     if edges.size and (edges.min() < 0 or edges.max() >= num_edges):
         return f"edge ids outside [0, {num_edges})"
+    # the state's batched updates rely on a vertex's nets being distinct
+    first = np.zeros(edges.size, dtype=bool)
+    first[ptr[:-1][ptr[:-1] < edges.size]] = True
+    if ((np.diff(edges) <= 0) & ~first[1:]).any():
+        return "each vertex's edge ids must be strictly increasing"
     if weights.size != n:
         return f"{weights.size} vertex weights for {n} vertices"
     return None
@@ -245,17 +269,8 @@ class ClusterWorker:
                 # Bad magic/version/size/truncation: report (best
                 # effort), drop the connection — it is mid-frame and
                 # unrecoverable — and go back to accepting.
-                self._log("protocol_error", error=str(exc))
-                try:
-                    # v1 framing: pre-negotiation frames must be
-                    # readable by any peer.
-                    send_message(
-                        conn,
-                        {"type": "error", "error": str(exc)},
-                        version=1,
-                    )
-                except OSError:
-                    pass
+                self._log("refused", code="protocol_error", error=str(exc))
+                _send_error(conn, str(exc), "protocol_error")
                 return
             kind = msg.get("type")
             if kind == "shutdown":
@@ -265,11 +280,7 @@ class ClusterWorker:
                     pass
                 raise _Shutdown
             if kind != "hello":
-                send_message(
-                    conn,
-                    {"type": "error", "error": f"expected hello, got {kind!r}"},
-                    version=1,
-                )
+                _send_error(conn, f"expected hello, got {kind!r}", "protocol_error")
                 return
             try:
                 self._run_session(conn, msg)
@@ -279,18 +290,17 @@ class ClusterWorker:
                 self._log("session_aborted", error=str(exc))
                 return
             except ProtocolError as exc:
-                self._log("protocol_error", error=str(exc))
+                # Name the fault to the coordinator, then hang up: a
+                # refusal carries its own code, any other session fault
+                # (an unexpected frame, ship mode or format) is a
+                # ``protocol_error``.
+                code = getattr(exc, "code", "protocol_error")
+                self._log("refused", code=code, error=str(exc))
+                _send_error(conn, str(exc), code)
                 return
             except Exception as exc:  # surface shard crashes to the peer
                 self._log("session_error", error=repr(exc))
-                try:
-                    send_message(
-                        conn,
-                        {"type": "error", "error": repr(exc)},
-                        version=1,
-                    )
-                except OSError:
-                    pass
+                _send_error(conn, repr(exc))
                 return
 
     # ------------------------------------------------------------------
@@ -315,8 +325,8 @@ class ClusterWorker:
                     else _chunk_problem(msg, stop, len(hello["edge_weights"]))
                 )
                 if problem is not None:
-                    self._refuse(
-                        conn, "bad_chunk", f"chunk {len(chunks)}: {problem}"
+                    raise _Refusal(
+                        "bad_chunk", f"chunk {len(chunks)}: {problem}"
                     )
                 stop = msg["stop"]
                 chunks.append(
@@ -328,8 +338,7 @@ class ClusterWorker:
                     )
                 )
             if len(chunks) != count or stop != hello["v_hi"]:
-                self._refuse(
-                    conn,
+                raise _Refusal(
                     "bad_chunk",
                     f"{len(chunks)} of {count} chunk frames, ending at "
                     f"vertex {stop} of {hello['v_hi']}",
@@ -386,19 +395,6 @@ class ClusterWorker:
             return stream
         raise ProtocolError(f"unknown ship mode {ship!r}")
 
-    def _refuse(self, conn: socket.socket, code: str, error: str) -> None:
-        """Send a stable coded error frame, then abort the session."""
-        self._log("refused", code=code, error=error)
-        try:
-            send_message(
-                conn,
-                {"type": "error", "code": code, "error": error},
-                version=1,
-            )
-        except OSError:
-            pass
-        raise ProtocolError(f"{code}: {error}")
-
     def _authenticate(self, conn: socket.socket, hello: dict) -> None:
         """Mutual PSK challenge-response (v1-framed, pre-negotiation).
 
@@ -408,15 +404,13 @@ class ClusterWorker:
         """
         if self.psk is None:
             if hello.get("auth"):
-                self._refuse(
-                    conn,
+                raise _Refusal(
                     "auth_required",
                     "coordinator requires auth but this worker has no PSK",
                 )
             return
         if not hello.get("auth"):
-            self._refuse(
-                conn,
+            raise _Refusal(
                 "auth_required",
                 "this worker requires a PSK handshake (--psk-file)",
             )
@@ -433,8 +427,7 @@ class ClusterWorker:
         )
         reply, _ = recv_message(conn, max_frame=self.max_frame)
         if reply.get("type") != "auth_response":
-            self._refuse(
-                conn,
+            raise _Refusal(
                 "auth_failed",
                 f"expected auth_response, got {reply.get('type')!r}",
             )
@@ -443,7 +436,7 @@ class ClusterWorker:
         if not isinstance(proof, bytes) or not hmac.compare_digest(
             proof, want
         ):
-            self._refuse(conn, "auth_failed", "bad coordinator proof")
+            raise _Refusal("auth_failed", "bad coordinator proof")
         self._log("auth_ok")
 
     def _run_session(self, conn: socket.socket, hello: dict) -> None:

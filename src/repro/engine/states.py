@@ -15,7 +15,7 @@ small duck-typed protocol:
     ``True`` lets the kernel batch a chunk's pin-count updates at block
     end (loads still update live per placement) — the dense fast path.
 
-Two states implement it:
+Two states implement it, plus one presence view:
 
 * :class:`DenseKernelState` (here) — the exact ``(E x p)`` count matrix,
   built from a round-robin assignment for HyperPRAW or zero-initialised
@@ -23,7 +23,11 @@ Two states implement it:
 * :class:`~repro.streaming.state.StreamingState` — the bounded, capped
   LRU presence table of the out-of-core partitioners
   (``place_deferred = False``: its table must see every placement in
-  arrival order for the eviction policy to mean anything).
+  arrival order for the eviction policy to mean anything);
+* :class:`~repro.partitioning.families.MinMaxState` — min-max's view
+  over that same table: gathers read net presence instead of pin
+  counts, and a per-part connectivity counter rides along.  It inherits
+  the LRU policy and the eviction order unchanged.
 """
 
 from __future__ import annotations

@@ -18,7 +18,9 @@ them reachable from the Python API, the ``stream`` CLI and the service
   streaming family of Taşyaran et al. (arXiv:2103.05394): a greedy
   min-max net-connectivity objective
   (:class:`~repro.engine.scorers.MinMaxScorer` over
-  :class:`MinMaxState`, a presence-gathering capped-LRU table), plus a
+  :class:`MinMaxState`, a presence view over the capped-LRU
+  :class:`~repro.streaming.state.StreamingState` that inherits its
+  eviction order and adds a connectivity counter), plus a
   similarity-ordered buffered variant (``buffer_size=``) that reorders
   each arrival window so vertices sharing nets are placed consecutively.
   Both run under the same ``max_tracked_edges`` bound as
@@ -295,14 +297,14 @@ class NeighborhoodExpansion(Partitioner):
 # (ii) limited-memory min-max streaming
 # ----------------------------------------------------------------------
 class MinMaxState(StreamingState):
-    """Capped-LRU presence table with a live per-part connectivity counter.
+    """Capped-LRU presence view with a live per-part connectivity counter.
 
-    Two deltas against the base table, both serving the min-max
-    objective:
+    The base table's LRU policy, unchanged, plus two deltas serving the
+    min-max objective:
 
-    * :meth:`gather`/:meth:`gather_block` return net **presence** counts
-      — how many of the vertex's incident nets already have a pin in
-      each part — instead of summed pin counts;
+    * :meth:`gather`/:meth:`gather_block` read net **presence** — how
+      many of the vertex's incident nets already have a pin in each
+      part — instead of summed pin counts;
     * ``connectivity[i]`` tracks the number of *tracked* (net, part)
       incidences, the per-part connectivity load the objective caps.
 
@@ -325,77 +327,24 @@ class MinMaxState(StreamingState):
         )
         self.connectivity = np.zeros(num_parts, dtype=np.int64)
 
-    def _acquire(self, edge: int) -> int:
-        slots = self._slots
-        if (
-            edge not in slots
-            and self.max_tracked_edges is not None
-            and len(slots) >= self.max_tracked_edges
-        ):
-            # the base class is about to zero the LRU row — retire its
-            # tracked incidences from the connectivity counter first
-            lru_slot = next(iter(slots.values()))
-            self.connectivity -= self._table[lru_slot] > 0
-        return super()._acquire(edge)
+    def _read(self, rows: np.ndarray) -> np.ndarray:
+        return np.minimum(rows, 1)  # counts never go below zero
 
-    def place(self, edges: np.ndarray, part: int, weight: float) -> None:
-        for e in edges.tolist():
-            slot = self._acquire(e)
-            if self._table[slot, part] == 0:
-                self.connectivity[part] += 1
-            self._table[slot, part] += 1
-        self.loads[part] += weight
+    def _evict(self, slot: int) -> None:
+        # the evicted net's incidences leave the counter with its row
+        self.connectivity -= self._table[slot] > 0
+        super()._evict(slot)
 
-    def remove(self, edges: np.ndarray, part: int, weight: float) -> None:
-        slots = self._slots
-        table = self._table
-        for e in edges.tolist():
-            slot = slots.get(e)
-            if slot is not None and table[slot, part] > 0:
-                slots.move_to_end(e)
-                table[slot, part] -= 1
-                if table[slot, part] == 0:
-                    self.connectivity[part] -= 1
-        self.loads[part] -= weight
-
-    def gather(self, edges: np.ndarray) -> np.ndarray:
-        X = np.zeros(self.num_parts, dtype=np.int64)
-        slots = self._slots
-        table = self._table
-        for e in edges.tolist():
-            slot = slots.get(e)
-            if slot is not None:
-                slots.move_to_end(e)
-                X += table[slot] > 0
-        return X
-
-    def gather_block(
-        self, rows_all: np.ndarray, vertex_ptr: np.ndarray
-    ) -> np.ndarray:
-        p = self.num_parts
-        if rows_all.size == 0:
-            return np.zeros((vertex_ptr.size - 1, p), dtype=np.int64)
-        uniq, inverse = np.unique(rows_all, return_inverse=True)
-        slots = self._slots
-        slot_arr = np.empty(uniq.size, dtype=np.int64)
-        for k, e in enumerate(uniq.tolist()):
-            slot = slots.get(e)
-            if slot is None:
-                slot_arr[k] = -1
-            else:
-                slots.move_to_end(e)
-                slot_arr[k] = slot
-        presence_uniq = np.zeros((uniq.size, p), dtype=np.int64)
-        tracked = slot_arr >= 0
-        presence_uniq[tracked] = self._table[slot_arr[tracked]] > 0
-        return segment_reduce(np.add, presence_uniq[inverse], vertex_ptr)
+    def _shift(self, slots: np.ndarray, part: int, delta: int) -> None:
+        # a pin landing on an empty (net, part), or the last one leaving
+        before = self._table[slots, part]
+        self.connectivity[part] += delta * np.count_nonzero(
+            before == (0 if delta > 0 else 1)
+        )
+        super()._shift(slots, part, delta)
 
     def _recount(self) -> None:
-        n = len(self._slots)
-        if n == 0:
-            self.connectivity[:] = 0
-            return
-        slots = np.fromiter(self._slots.values(), dtype=np.int64, count=n)
+        _, slots = self._tracked()
         self.connectivity[:] = (self._table[slots] > 0).sum(axis=0)
 
     def seed_table(self, edges: np.ndarray, counts: np.ndarray) -> None:

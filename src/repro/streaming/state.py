@@ -23,6 +23,17 @@ Evicted counts are simply lost: a later ``remove`` for an evicted
 hyperedge is clamped at zero rather than recreating phantom negative
 counts, so the table always holds a *lower bound* on each tracked net's
 true per-partition pin counts.
+
+The LRU policy is written once, in two slot primitives that are the
+only code adding, dropping or reordering tracked nets:
+:meth:`StreamingState._lookup` (slots of tracked nets, -1 elsewhere;
+touching them or not) and :meth:`StreamingState._acquire` (slots in
+order, created as needed, evicting the least-recently-used net through
+:meth:`StreamingState._evict`).  Every public method is a numpy
+operation over those slots.  A subclass may change how a row reads
+(``_read``), how a column moves (``_shift``) and what an eviction drops
+(``_evict``); min-max's :class:`~repro.partitioning.families.MinMaxState`
+does exactly that.
 """
 
 from __future__ import annotations
@@ -95,7 +106,9 @@ class StreamingState:
             raise ValueError("expected_loads must be strictly positive")
         self.max_tracked_edges = max_tracked_edges
         initial = max_tracked_edges if max_tracked_edges is not None else 1024
-        self._table = np.zeros((max(1, initial), num_parts), dtype=np.int64)
+        # one row per slot, plus a last row that stays zero: slot -1, the
+        # slot of an untracked net, reads it
+        self._table = np.zeros((initial + 1, num_parts), dtype=np.int64)
         self._slots: "OrderedDict[int, int]" = OrderedDict()
         self.evictions = 0
         self.peak_tracked_edges = 0
@@ -105,31 +118,89 @@ class StreamingState:
     def num_tracked_edges(self) -> int:
         return len(self._slots)
 
-    def _acquire(self, edge: int) -> int:
-        """Slot of ``edge``, creating (and evicting LRU) as needed."""
+    # ------------------------------------------------------------------
+    # the LRU policy.  The edges of one call are distinct (a vertex's
+    # nets, a table's rows), so the slots returned index distinct rows.
+    # ------------------------------------------------------------------
+    def _lookup(
+        self, edges: np.ndarray, touch: bool, part: "int | None" = None
+    ) -> "list[int]":
+        """Slots of ``edges``, -1 where untracked; ``touch`` marks the
+        tracked ones most recently used, in edge order.  Given ``part``,
+        a net holding no pin on ``part`` reads -1 and is not touched."""
         slots = self._slots
-        slot = slots.get(edge)
-        if slot is not None:
-            slots.move_to_end(edge)
-            return slot
-        if (
-            self.max_tracked_edges is not None
-            and len(slots) >= self.max_tracked_edges
-        ):
-            _, slot = slots.popitem(last=False)
-            self._table[slot] = 0
-            self.evictions += 1
-        else:
-            slot = len(slots)
-            if slot >= self._table.shape[0]:
-                grown = np.zeros(
-                    (self._table.shape[0] * 2, self.num_parts), dtype=np.int64
-                )
-                grown[: self._table.shape[0]] = self._table
-                self._table = grown
-        slots[edge] = slot
+        held = self._table.item
+        found = []
+        for e in edges.tolist():
+            slot = slots.get(e, -1)
+            if slot >= 0 and part is not None and held(slot, part) <= 0:
+                slot = -1
+            if touch and slot >= 0:
+                slots.move_to_end(e)
+            found.append(slot)
+        return found
+
+    def _acquire(self, edges: np.ndarray) -> "list[int]":
+        """Slots of ``edges`` in order, touching each and creating the
+        missing ones; once the table is full, each new net takes the
+        slot of the LRU net, whose row :meth:`_evict` drops.
+
+        A net can be evicted by a later edge of the same call when the
+        call holds more edges than the cap; its slot then belongs to
+        that later edge, and its own entry reads -1.  Its pins would
+        have been zeroed by the eviction, so a caller that updates the
+        live slots in one batch ends with the per-pin table.
+        """
+        slots = self._slots
+        cap = self.max_tracked_edges
+        out = []
+        for e in edges.tolist():
+            slot = slots.get(e)
+            if slot is not None:
+                slots.move_to_end(e)
+            else:
+                if cap is not None and len(slots) >= cap:
+                    _, slot = slots.popitem(last=False)
+                    self._evict(slot)
+                else:
+                    slot = len(slots)
+                    if slot == len(self._table) - 1:
+                        grown = np.zeros((2 * slot + 1, self.num_parts), np.int64)
+                        grown[:slot] = self._table[:slot]
+                        self._table = grown
+                slots[e] = slot
+            out.append(slot)
         self.peak_tracked_edges = max(self.peak_tracked_edges, len(slots))
-        return slot
+        if cap is not None and len(out) > cap:
+            # only a slot's last occurrence still holds its net
+            last = {slot: k for k, slot in enumerate(out)}
+            out = [slot if last[slot] == k else -1 for k, slot in enumerate(out)]
+        return out
+
+    def _evict(self, slot: int) -> None:
+        """Drop the row of the LRU net just untracked from ``slot``."""
+        self._table[slot] = 0
+        self.evictions += 1
+
+    # ------------------------------------------------------------------
+    # what a subclass may change: how a row reads, how a column moves
+    # ------------------------------------------------------------------
+    def _read(self, rows: np.ndarray) -> np.ndarray:
+        """What a gather sums per net (int64): its per-partition pin counts."""
+        return rows
+
+    def _shift(self, slots: np.ndarray, part: int, delta: int) -> None:
+        """Add ``delta`` (+1 or -1) pins on ``part`` to each tracked slot."""
+        column = self._table[:, part]
+        column[slots] += delta
+
+    def _tracked(self) -> "tuple[np.ndarray, np.ndarray]":
+        """``(edges, slots)`` of every tracked net, in LRU order."""
+        n = len(self._slots)
+        return (
+            np.fromiter(self._slots.keys(), dtype=np.int64, count=n),
+            np.fromiter(self._slots.values(), dtype=np.int64, count=n),
+        )
 
     # ------------------------------------------------------------------
     # hot-path operations
@@ -141,15 +212,8 @@ class StreamingState:
         Referencing counts as a read *touches* the nets for LRU purposes —
         a net that keeps scoring placements is a net worth keeping.
         """
-        X = np.zeros(self.num_parts, dtype=np.int64)
-        slots = self._slots
-        table = self._table
-        for e in edges.tolist():
-            slot = slots.get(e)
-            if slot is not None:
-                slots.move_to_end(e)
-                X += table[slot]
-        return X
+        slots = self._lookup(edges, touch=True)
+        return self._read(self._table.take(slots, axis=0)).sum(axis=0)
 
     def gather_block(
         self, rows_all: np.ndarray, vertex_ptr: np.ndarray
@@ -159,43 +223,27 @@ class StreamingState:
         ``rows_all`` is the chunk's concatenated incident-edge array and
         ``vertex_ptr`` its local CSR offsets; row ``i`` of the result is
         :meth:`gather` of vertex ``i``'s edges, evaluated against the
-        chunk-start table in one vectorised pass.
+        chunk-start table in one vectorised pass (touching the distinct
+        nets in ascending id order).
         """
-        p = self.num_parts
-        if rows_all.size == 0:
-            return np.zeros((vertex_ptr.size - 1, p), dtype=np.int64)
         uniq, inverse = np.unique(rows_all, return_inverse=True)
-        slots = self._slots
-        slot_arr = np.empty(uniq.size, dtype=np.int64)
-        for k, e in enumerate(uniq.tolist()):
-            slot = slots.get(e)
-            if slot is None:
-                slot_arr[k] = -1
-            else:
-                slots.move_to_end(e)
-                slot_arr[k] = slot
-        counts_uniq = np.zeros((uniq.size, p), dtype=np.int64)
-        tracked = slot_arr >= 0
-        counts_uniq[tracked] = self._table[slot_arr[tracked]]
-        return segment_reduce(np.add, counts_uniq[inverse], vertex_ptr)
+        slots = self._lookup(uniq, touch=True)
+        per_edge = self._read(self._table.take(slots, axis=0))
+        return segment_reduce(np.add, per_edge[inverse], vertex_ptr)
 
     def place(self, edges: np.ndarray, part: int, weight: float) -> None:
         """Record a (new or re-placed) pin of every ``edges`` on ``part``."""
-        for e in edges.tolist():
-            slot = self._acquire(e)
-            # no caching of _table across iterations: _acquire may grow it
-            self._table[slot, part] += 1
+        live = [slot for slot in self._acquire(edges) if slot >= 0]
+        self._shift(np.array(live, dtype=np.int64), part, 1)
         self.loads[part] += weight
 
     def remove(self, edges: np.ndarray, part: int, weight: float) -> None:
-        """Lift a vertex off ``part``; untracked edges are a clamped no-op."""
-        slots = self._slots
-        table = self._table
-        for e in edges.tolist():
-            slot = slots.get(e)
-            if slot is not None and table[slot, part] > 0:
-                slots.move_to_end(e)
-                table[slot, part] -= 1
+        """Lift a vertex off ``part``; untracked edges are a clamped no-op.
+
+        Only the nets that still hold a pin on ``part`` are touched.
+        """
+        held = [slot for slot in self._lookup(edges, True, part) if slot >= 0]
+        self._shift(np.array(held, dtype=np.int64), part, -1)
         self.loads[part] -= weight
 
     # ------------------------------------------------------------------
@@ -218,16 +266,9 @@ class StreamingState:
         The sorted order makes cross-process merges deterministic; the
         arrays are copies, safe to pickle across a worker pipe.
         """
-        n = len(self._slots)
-        if n == 0:
-            return (
-                np.empty(0, dtype=np.int64),
-                np.empty((0, self.num_parts), dtype=np.int64),
-            )
-        edges = np.fromiter(self._slots.keys(), dtype=np.int64, count=n)
-        slots = np.fromiter(self._slots.values(), dtype=np.int64, count=n)
+        edges, slots = self._tracked()
         order = np.argsort(edges)
-        return edges[order], self._table[slots[order]].copy()
+        return edges[order], self._table[slots[order]]
 
     def seed_table(self, edges: np.ndarray, counts: np.ndarray) -> None:
         """Bulk-insert per-edge counts (the sharded merge step).
@@ -236,9 +277,9 @@ class StreamingState:
         machinery, so a capped table evicts deterministically when the
         merged net set exceeds ``max_tracked_edges``.
         """
-        for k in range(edges.size):
-            slot = self._acquire(int(edges[k]))
-            self._table[slot] += counts[k]
+        slots = np.array(self._acquire(edges), dtype=np.int64)
+        live = slots >= 0
+        self._table[slots[live]] += counts[live]
 
     def rows(self, edges: np.ndarray) -> np.ndarray:
         """Current count rows for ``edges`` (``len(edges) x p`` copy).
@@ -247,13 +288,7 @@ class StreamingState:
         computation for the sharded boundary exchange — so it does *not*
         touch the LRU order.
         """
-        out = np.zeros((edges.size, self.num_parts), dtype=np.int64)
-        slots = self._slots
-        for k, e in enumerate(edges.tolist()):
-            slot = slots.get(e)
-            if slot is not None:
-                out[k] = self._table[slot]
-        return out
+        return self._table.take(self._lookup(edges, touch=False), axis=0)
 
     def set_rows(self, edges: np.ndarray, counts: np.ndarray) -> None:
         """Overwrite the rows for ``edges`` with ``counts``.
@@ -263,9 +298,9 @@ class StreamingState:
         every round; rows are (re)acquired through the normal slot
         machinery, creating them if needed.
         """
-        for k in range(edges.size):
-            slot = self._acquire(int(edges[k]))
-            self._table[slot] = counts[k]
+        slots = np.array(self._acquire(edges), dtype=np.int64)
+        live = slots >= 0
+        self._table[slots[live]] = counts[live]
 
     # ------------------------------------------------------------------
     # pass-level queries
@@ -294,9 +329,7 @@ class StreamingState:
         boundary exchange accounts boundary rows at the driver, so
         workers report only their *interior* contribution.
         """
-        n = len(self._slots)
-        edges = np.fromiter(self._slots.keys(), dtype=np.int64, count=n)
-        slots = np.fromiter(self._slots.values(), dtype=np.int64, count=n)
+        edges, slots = self._tracked()
         if exclude_edges is not None and exclude_edges.size:
             keep = ~np.isin(edges, exclude_edges)
             edges, slots = edges[keep], slots[keep]

@@ -17,6 +17,7 @@ import zlib
 import numpy as np
 import pytest
 
+from repro.architecture.cost import uniform_cost_matrix
 from repro.cluster.protocol import (
     DEFAULT_MAX_FRAME,
     FLAG_ZLIB,
@@ -272,11 +273,80 @@ BAD_CHUNK_FRAMES = {
     "edge-out-of-range": [_chunk(0, 4, edges=[0, 1, 99, 2])],
     "negative-edge": [_chunk(0, 4, edges=[0, -1, 2, 3])],
     "weights-length": [_chunk(0, 4, weights=np.ones(3))],
+    "repeated-edge": [_chunk(0, 4, ptr=[0, 2, 3, 4, 4], edges=[1, 1, 2, 3])],
+    "unsorted-edges": [_chunk(0, 4, ptr=[0, 0, 2, 3, 4], edges=[2, 1, 0, 3])],
+}
+
+
+#: Session faults other than a refusal: (hello overrides, frames sent
+#: after the ``hello_ack``, the worker's message).  Each is cut at the
+#: frame the worker rejects; ``"phase-1 reply"`` reads the shard's reply.
+SESSION_FAULTS = {
+    "non-chunk-frame-in-chunk-ingest": (
+        {}, [_chunk(0, 4), {"type": "blocks", "data": b""}],
+        "expected chunk frame, got 'blocks'",
+    ),
+    "non-blocks-frame-in-text-ingest": (
+        {"ship": "text", "text_format": "hmetis"}, [_chunk(0, 4)],
+        "expected blocks frame, got 'chunk'",
+    ),
+    "unknown-ship-mode": (
+        {"ship": "pigeon"}, [], "unknown ship mode 'pigeon'",
+    ),
+    "unknown-text-format": (
+        {"ship": "text", "text_format": "csv"}, [],
+        "unknown text format 'csv'",
+    ),
+    "non-round-frame-between-rounds": (
+        {"C": uniform_cost_matrix(2), "counts": [8, 4]},
+        [_chunk(0, 4), _chunk(4, 8), {"type": "ingest_done"}, "phase-1 reply",
+         {"type": "chunk"}],
+        "expected round frame, got 'chunk'",
+    ),
 }
 
 
 class TestWorkerSessionFailures:
     """Worker-side protocol handling over a live (threaded) worker."""
+
+    def _session_fault(self, worker, case):
+        """Drive ``SESSION_FAULTS[case]`` through a coordinator link; the
+        returned link's next frame is the worker's answer."""
+        from repro.cluster.coordinator import _WorkerLink
+
+        overrides, frames, _ = SESSION_FAULTS[case]
+        link = _WorkerLink(
+            "127.0.0.1", worker.port, timeout=TIMEOUT, max_frame=DEFAULT_MAX_FRAME
+        )
+        link.send(_full_hello(**overrides))
+        assert link.recv()["type"] == "hello_ack"
+        link.version = PROTOCOL_VERSION
+        for msg in frames:
+            if msg == "phase-1 reply":
+                assert link.recv()["type"] == "reply"
+            else:
+                link.send(msg)
+        return link
+
+    @pytest.mark.parametrize("case", sorted(SESSION_FAULTS))
+    def test_session_fault_reaches_coordinator(self, worker, case):
+        """A session fault ends in an ``error`` frame naming it, so the
+        coordinator raises the worker's message instead of seeing a
+        bare hang-up."""
+        link = self._session_fault(worker, case)
+        try:
+            with pytest.raises(ProtocolError, match="reported: ") as info:
+                link.recv()
+        finally:
+            link.close()
+        assert not isinstance(info.value, ConnectionClosedError)
+        assert SESSION_FAULTS[case][2] in str(info.value)
+
+    def test_session_fault_code(self, worker):
+        link = self._session_fault(worker, "unknown-ship-mode")
+        with link.sock:
+            reply, _ = recv_message(link.sock)
+        assert (reply["type"], reply["code"]) == ("error", "protocol_error")
 
     @pytest.fixture()
     def worker(self):
@@ -344,6 +414,14 @@ class TestWorkerSessionFailures:
                 send_message(sock, msg, version=ack["version"])
             reply, _ = recv_message(sock)
         assert (reply["type"], reply["code"]) == ("error", "bad_chunk")
+
+    def test_chunk_check_reads_edges_per_vertex(self):
+        """Edge ids restart at each vertex: only a repeat or a descent
+        inside one vertex's segment is refused, empty vertices included."""
+        from repro.cluster.worker import _chunk_problem
+
+        sound = _chunk(0, 4, ptr=[0, 2, 2, 3, 4], edges=[2, 3, 0, 0])
+        assert _chunk_problem(sound, 0, 4) is None
 
     def test_worker_negotiates_down_for_v1_hello(self, worker):
         """A v1 coordinator sends no ``max_version``: the session must

@@ -158,6 +158,88 @@ class TestShardedFamilyGoldens:
         assert _digest(r.assignment) == want
 
 
+#: capped streamers on the invariant matrix's mesh (max vertex degree 17)
+#: at p=4, seed=7: caps 1-3 force a vertex's own nets to evict each other
+#: inside one ``place``; cap 100 is roomy.  Each entry is
+#: ``(assignment digest, evictions, peak_tracked_edges)``.
+CAPPED_GOLDENS = {
+    "onepass-vertex": {
+        1: ("13ef55ab2cdb5662", 1711, 1),
+        2: ("0e3dc8f566cf87e1", 1697, 2),
+        3: ("6a67b30a419a5f47", 1646, 3),
+        100: ("897e74a111a5d031", 712, 100),
+    },
+    "onepass-chunk": {
+        1: ("99897bb6a60b5552", 1711, 1),
+        2: ("439f25e69f37a99c", 1701, 2),
+        3: ("684f271f27bcd289", 1676, 3),
+        100: ("e452cfcbf2deaed7", 502, 100),
+    },
+    "buffered-rollback": {
+        1: ("b7f1d0e4600b46ce", 5340, 1),
+        2: ("131abdc2e61fa0eb", 5420, 2),
+        3: ("5bc61e53e4a76727", 5511, 3),
+        100: ("1aa97806be679978", 3136, 100),
+    },
+    "sharded-2w": {
+        1: ("13ef55ab2cdb5662", 1710, 1),
+        2: ("14e3b0eed510d7c1", 1695, 2),
+        3: ("c733d36ba65685be", 1644, 3),
+        100: ("08569407aad810ab", 1126, 100),
+    },
+    "minmax": {
+        1: ("8de28aabb824db09", 1711, 1),
+        2: ("399ac8354516c536", 1697, 2),
+        3: ("213912493edfda2b", 1646, 3),
+        100: ("de32f9b9b2e03848", 712, 100),
+    },
+}
+
+
+def _capped_streamer(name: str, cap: int):
+    from repro.partitioning.families import MinMaxStreamer
+
+    if name == "onepass-vertex":
+        return OnePassStreamer(max_tracked_edges=cap, chunk_size=32)
+    if name == "onepass-chunk":
+        return OnePassStreamer(
+            max_tracked_edges=cap, chunk_size=32, score_mode="chunk"
+        )
+    if name == "buffered-rollback":
+        # chunk-mode windows lift whole sub-blocks (lift_block), and
+        # every cap rolls a window back (move_back)
+        return BufferedRestreamer(
+            HyperPRAWConfig(record_history=False, chunk_size=8),
+            buffer_size=64,
+            chunk_size=32,
+            max_tracked_edges=cap,
+        )
+    if name == "sharded-2w":
+        # export_table at the merge; only the roomy cap leaves boundary
+        # nets for the set_rows overlay rounds
+        return OnePassStreamer(max_tracked_edges=cap, chunk_size=32, workers=2)
+    return MinMaxStreamer(max_tracked_edges=cap, chunk_size=32)
+
+
+class TestCappedGoldens:
+    """The capped LRU table's eviction order, pinned end to end: the
+    assignment, the eviction count and the peak table size of every
+    streamer that runs on it."""
+
+    @pytest.mark.parametrize("cap", (1, 2, 3, 100))
+    @pytest.mark.parametrize("name", list(CAPPED_GOLDENS))
+    def test_capped_run(self, name, cap):
+        from test_invariants import _instance
+
+        hg = _instance("mesh")
+        r = _capped_streamer(name, cap).partition(hg, 4, seed=7)
+        m = r.metadata
+        got = (_digest(r.assignment), m["evictions"], m["peak_tracked_edges"])
+        assert got == CAPPED_GOLDENS[name][cap]
+        if name == "buffered-rollback":
+            assert m["rolled_back"]
+
+
 #: below 32 vertices a pin-budgeted text stream buckets single vertices,
 #: so its chunk boundaries equal the in-memory stream's
 CS = 16
