@@ -55,11 +55,35 @@ from repro.engine.blocks import VertexBlock
 from repro.streaming.reader import ChunkStream
 from repro.streaming.sharded import shard_stream_task
 
-__all__ = ["ClusterWorker"]
+__all__ = ["ClusterWorker", "FIRST_FRAME_DEADLINE_S"]
+
+#: Seconds a new connection has to deliver its whole first frame.  The
+#: worker serves one connection at a time, so a peer that connects and
+#: stalls would otherwise hold every other coordinator in the backlog.
+FIRST_FRAME_DEADLINE_S = 5.0
 
 
 class _Shutdown(Exception):
     """Raised internally when a peer sends the shutdown frame."""
+
+
+class _Deadline:
+    """A socket view whose reads share one deadline (``recv`` is all
+    that :func:`recv_message` calls); running out is a protocol fault."""
+
+    def __init__(self, sock: socket.socket, seconds: float) -> None:
+        self.sock = sock
+        self.seconds = seconds
+        self.until = time.monotonic() + seconds
+
+    def recv(self, n: int) -> bytes:
+        try:
+            self.sock.settimeout(max(1e-3, self.until - time.monotonic()))
+            return self.sock.recv(n)
+        except socket.timeout:
+            raise ProtocolError(
+                f"no whole first frame within {self.seconds:g} s"
+            ) from None
 
 
 class _Refusal(ProtocolError):
@@ -260,18 +284,23 @@ class ClusterWorker:
     # ------------------------------------------------------------------
     def _serve_connection(self, conn: socket.socket, addr) -> None:
         self._log("connected", peer=list(addr))
+        source = _Deadline(conn, FIRST_FRAME_DEADLINE_S)
         while True:
             try:
-                msg, _ = recv_message(conn, max_frame=self.max_frame)
+                msg, _ = recv_message(source, max_frame=self.max_frame)
             except ConnectionClosedError:
                 return  # coordinator hung up between sessions: fine
             except ProtocolError as exc:
-                # Bad magic/version/size/truncation: report (best
-                # effort), drop the connection — it is mid-frame and
-                # unrecoverable — and go back to accepting.
+                # Bad magic/version/size/truncation, or no whole first
+                # frame by the deadline: report (best effort), drop the
+                # connection — it is mid-frame and unrecoverable — and
+                # go back to accepting.
                 self._log("refused", code="protocol_error", error=str(exc))
                 _send_error(conn, str(exc), "protocol_error")
                 return
+            # Sessions keep blocking reads; only the first frame is timed.
+            source = conn
+            conn.settimeout(None)
             kind = msg.get("type")
             if kind == "shutdown":
                 try:

@@ -71,8 +71,8 @@ def _data_lines(text):
 class HmetisHeader:
     """Parsed hMetis header: counts plus the ``fmt`` weight flags.
 
-    Shared by :func:`read_hmetis` and the chunked one-pass reader in
-    :mod:`repro.streaming.reader`, so both enforce identical validation.
+    Used by the one-pass hMetis reader in :mod:`repro.streaming.reader`
+    (which :func:`read_hmetis` assembles).
     """
 
     __slots__ = ("num_edges", "num_vertices", "fmt", "has_edge_weights", "has_vertex_weights")
@@ -98,6 +98,10 @@ def parse_hmetis_header(path, lineno: int, header: "list[str]") -> HmetisHeader:
         raise HypergraphFormatError(f"{path}:{lineno}: non-integer header") from exc
     if fmt not in (0, 1, 10, 11):
         raise HypergraphFormatError(f"{path}:{lineno}: unknown fmt {fmt}")
+    if num_edges < 0:
+        raise HypergraphFormatError(
+            f"{path}:{lineno}: num_edges must be >= 0, got {num_edges}"
+        )
     return HmetisHeader(num_edges, num_vertices, fmt)
 
 
@@ -153,48 +157,15 @@ def read_hmetis(path: "str | Path", *, name: str | None = None) -> Hypergraph:
     Format: header ``|E| |V| [fmt]`` where ``fmt`` is ``1`` (hyperedge
     weights), ``10`` (vertex weights) or ``11`` (both); then one line per
     hyperedge (``[weight] pin...`` with 1-based pins); then, if vertex
-    weights are present, one weight per line.
+    weights are present, one weight per line.  Parsed by the streaming
+    reader (:func:`repro.streaming.reader.stream_hmetis`) and assembled
+    in memory, so both entry points share one parser.
     """
-    path = Path(path)
-    lines = list(_data_lines(path.read_text()))
-    if not lines:
-        raise HypergraphFormatError(f"{path}: empty file")
-    lineno, header_tokens = lines[0]
-    header = parse_hmetis_header(path, lineno, header_tokens)
-    num_edges, num_vertices = header.num_edges, header.num_vertices
-    has_edge_w, has_vertex_w = header.has_edge_weights, header.has_vertex_weights
+    # Deferred: the streaming reader imports this module's helpers.
+    from repro.streaming.reader import assemble, stream_hmetis
 
-    body = lines[1:]
-    if len(body) < num_edges:
-        raise HypergraphFormatError(
-            f"{path}: expected {num_edges} hyperedge lines, found {len(body)}"
-        )
-    edge_weights = np.ones(num_edges, dtype=np.float64)
-    edges: list[list[int]] = []
-    for e in range(num_edges):
-        lineno, tokens = body[e]
-        edge_weights[e], pins = parse_hmetis_edge_line(path, lineno, tokens, header)
-        edges.append(pins)
-
-    vertex_weights = None
-    if has_vertex_w:
-        wlines = body[num_edges:]
-        if len(wlines) < num_vertices:
-            raise HypergraphFormatError(
-                f"{path}: expected {num_vertices} vertex-weight lines, found {len(wlines)}"
-            )
-        vertex_weights = np.empty(num_vertices, dtype=np.float64)
-        for v in range(num_vertices):
-            lineno, tokens = wlines[v]
-            vertex_weights[v] = parse_hmetis_vertex_weight(path, lineno, tokens)
-
-    return Hypergraph(
-        num_vertices,
-        edges,
-        vertex_weights=vertex_weights,
-        edge_weights=edge_weights if has_edge_w else None,
-        name=name or path.stem,
-    )
+    with stream_hmetis(path, name=name) as stream:
+        return assemble(stream)
 
 
 def write_hmetis(hg: Hypergraph, path: "str | Path", *, write_weights: bool = False) -> None:

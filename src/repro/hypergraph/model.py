@@ -148,8 +148,8 @@ class Hypergraph:
         arr = np.asarray(weights, dtype=np.float64)
         if arr.shape != (n,):
             raise ValueError(f"{label} must have shape ({n},), got {arr.shape}")
-        if (arr <= 0).any():
-            raise ValueError(f"{label} must be strictly positive")
+        if not (np.isfinite(arr) & (arr > 0)).all():
+            raise ValueError(f"{label} must be finite and strictly positive")
         return arr.copy()
 
     # ------------------------------------------------------------------

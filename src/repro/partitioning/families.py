@@ -1071,9 +1071,10 @@ class Knob:
 
     ``kind`` is ``"int"`` (at least ``minimum``), ``"float"`` (inside
     ``bounds = (lo, hi]``), ``"choice"`` (one of ``choices``; a callable
-    is read live, like the family registry) or ``"bool"``.  A ``None``
-    default means the knob is optional, or (``workers``) that
-    :func:`partition_spec` fills it in from another knob.
+    is read live, like the family registry), ``"bool"`` or ``"str"``
+    (taken verbatim).  A ``None`` default means the knob is optional, or
+    (``workers``) that :func:`partition_spec` fills it in from another
+    knob; a ``required`` knob has no default.
     """
 
     name: str
@@ -1083,6 +1084,7 @@ class Knob:
     choices: "tuple | Callable[[], tuple]" = ()
     minimum: "int | None" = None
     bounds: "tuple[float, float] | None" = None
+    required: bool = False
 
     def options(self) -> "tuple[str, ...]":
         return tuple(self.choices() if callable(self.choices) else self.choices)
@@ -1094,8 +1096,12 @@ class Knob:
         with a 400.
         """
         if raw is None:
+            if self.required:
+                raise ValueError(f"{self.name} ({self.description}) is required")
             return self.default
         name = self.name
+        if self.kind == "str":
+            return raw
         if self.kind == "bool":
             if raw in ("", "0", "false", "no", "1", "true", "yes"):
                 return raw in ("1", "true", "yes")

@@ -14,7 +14,13 @@ rule holds:
   streaming readers, so an upload is parsed as it arrives and is never
   materialised — the service inherits the readers' O(buffer + chunk)
   resident-pin bound.
-* :mod:`~repro.service.handlers` — :class:`ServiceHandlers`, the route
+* :mod:`~repro.service.handlers` — the one declaration of the HTTP
+  contract, two tables: :data:`~repro.service.handlers.ROUTES` (method,
+  path template, handler, public or not, body or not, accepted query
+  parameters) and the query :class:`~repro.partitioning.families.Knob`
+  tables beside the partition knobs.  The router, admission, the
+  ``route`` metric label, validation and the OpenAPI document are all
+  read from them.  :class:`ServiceHandlers` is the route
   logic: uploads land in a **digest-keyed persistent chunk store**
   (:mod:`repro.streaming.chunkstore`), every partition run replays the
   memory-mapped store, and ``store=<digest>`` re-partitions skip text
@@ -36,9 +42,10 @@ rule holds:
 * :mod:`~repro.service.metrics` — the Prometheus-text registry behind
   ``GET /v1/metrics`` (queue depth, per-route latency histograms,
   evictions, rejections, kernel runs).
-* :mod:`~repro.service.openapi` — the handwritten OpenAPI contract
-  served at ``/v1/openapi.json`` and diffed against ``docs/service.md``
-  by the test suite.
+* :mod:`~repro.service.openapi` — the OpenAPI document served at
+  ``/v1/openapi.json``, generated from the two tables plus its prose
+  (summaries, responses, schemas) and diffed against
+  ``docs/service.md`` by the test suite.
 * :mod:`~repro.service.errors` — the error taxonomy and JSON envelope.
 
 Routes: ``POST /v1/partitions``, ``GET /v1/partitions/<id>``,

@@ -4,8 +4,8 @@ The service ships open by default (no keys configured → every request is
 admitted, exactly the PR 5 behaviour).  Configuring keys — via the
 ``REPRO_API_KEYS`` environment variable (comma-separated) or a key file
 (``--api-key-file``, one key per line, ``#`` comments) — flips every
-route except ``/v1/healthz``, ``/v1/metrics`` and ``/v1/openapi.json``
-to require one:
+route the route table does not mark public (``/v1/healthz``,
+``/v1/metrics`` and ``/v1/openapi.json`` are) to require one:
 
 * no key presented          → ``401 unauthorized``
 * unknown key presented     → ``403 forbidden``
@@ -41,33 +41,19 @@ __all__ = [
 #: Environment variable holding comma-separated API keys.
 API_KEYS_ENV = "REPRO_API_KEYS"
 
-#: Routes that never require a key (probes, scrapers, spec fetches).
-PUBLIC_PATHS = ("/v1/healthz", "/v1/metrics", "/v1/openapi.json")
-
-
 def load_key_file(path) -> "tuple[str, ...]":
     """API keys from a file: one per line, blank lines and ``#`` comments
     ignored.  Duplicates collapse; order is preserved otherwise."""
-    keys: "list[str]" = []
-    for raw in Path(path).read_text(encoding="utf-8").splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if line not in keys:
-            keys.append(line)
-    return tuple(keys)
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    keys = (line.strip() for line in lines)
+    return tuple(dict.fromkeys(k for k in keys if k and not k.startswith("#")))
 
 
 def keys_from_env(environ=None) -> "tuple[str, ...]":
     """API keys from :data:`API_KEYS_ENV` (comma-separated, may be empty)."""
     env = os.environ if environ is None else environ
-    raw = env.get(API_KEYS_ENV, "")
-    keys: "list[str]" = []
-    for part in raw.split(","):
-        key = part.strip()
-        if key and key not in keys:
-            keys.append(key)
-    return tuple(keys)
+    keys = (part.strip() for part in env.get(API_KEYS_ENV, "").split(","))
+    return tuple(dict.fromkeys(k for k in keys if k))
 
 
 class TokenBucket:
@@ -134,10 +120,6 @@ class AdmissionControl:
         return bool(self.api_keys)
 
     @staticmethod
-    def is_public(path: str) -> bool:
-        return path in PUBLIC_PATHS
-
-    @staticmethod
     def extract_key(headers) -> "str | None":
         """The API key a request presented, or ``None``.
 
@@ -152,14 +134,14 @@ class AdmissionControl:
             return auth[7:].strip() or None
         return None
 
-    def admit(self, path: str, headers) -> "str | None":
+    def admit(self, headers, *, public: bool = False) -> "str | None":
         """Admit or raise; returns the authenticated key (``None`` when
-        the service is open or the route is public).
+        the service is open or the route is ``public``).
 
         Raises :class:`Unauthorized` (no key), :class:`Forbidden`
         (unknown key) or :class:`TooManyRequests` (rate exceeded).
         """
-        if not self.enabled or self.is_public(path):
+        if not self.enabled or public:
             return None
         key = self.extract_key(headers)
         if key is None:

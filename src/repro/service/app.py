@@ -2,8 +2,9 @@
 
 Dependency-free by design (the repo rule: nothing beyond numpy/scipy) —
 :class:`PartitionService` is a ``ThreadingHTTPServer`` whose request
-handler does wire work only: route matching, query parsing, request
-body framing (``Content-Length`` or ``Transfer-Encoding: chunked``,
+handler does wire work only: route matching against
+:data:`~repro.service.handlers.ROUTES`, query parsing, request body
+framing (``Content-Length`` or ``Transfer-Encoding: chunked``,
 yielded as byte blocks so uploads stream straight into the parsers),
 and JSON/streamed responses.  Everything with behaviour lives in
 :class:`~repro.service.handlers.ServiceHandlers`.
@@ -38,7 +39,7 @@ from repro.service.errors import (
     ServiceError,
     error_body,
 )
-from repro.service.handlers import ServiceConfig, ServiceHandlers
+from repro.service.handlers import ServiceConfig, ServiceHandlers, resolve
 
 __all__ = ["PartitionService", "make_server", "serve"]
 
@@ -46,6 +47,8 @@ log = logging.getLogger("repro.service")
 
 #: Upload read granularity (bytes per block handed to the parser).
 _BODY_BLOCK = 1 << 16
+
+_HEX_DIGITS = frozenset(b"0123456789abcdefABCDEF")
 
 
 class _RequestHandler(BaseHTTPRequestHandler):
@@ -90,13 +93,6 @@ class _RequestHandler(BaseHTTPRequestHandler):
             {"Retry-After": str(retry_after)} if retry_after is not None else None
         )
         self._send_json(exc.status, error_body(exc), headers)
-
-    def _params(self) -> "tuple[str, dict]":
-        """``(path, query_params)`` with repeated keys last-wins."""
-        split = urlsplit(self.path)
-        return split.path.rstrip("/") or "/", dict(
-            parse_qsl(split.query, keep_blank_values=True)
-        )
 
     def _body_blocks(self):
         """The request body as an iterator of byte blocks, or ``None``.
@@ -151,12 +147,11 @@ class _RequestHandler(BaseHTTPRequestHandler):
             received = 0
             while True:
                 size_line = self.rfile.readline(1024).strip()
-                try:
-                    size = int(size_line.split(b";", 1)[0], 16)
-                except ValueError:
-                    raise LengthRequired(
-                        f"bad chunked framing: {size_line!r}"
-                    ) from None
+                size_hex = size_line.split(b";", 1)[0].strip()
+                # int(_, 16) alone would take "-5", "0x5" and "5_0"
+                if not size_hex or not set(size_hex) <= _HEX_DIGITS:
+                    raise LengthRequired(f"bad chunked framing: {size_line!r}")
+                size = int(size_hex, 16)
                 if size == 0:
                     self.rfile.readline(1024)  # trailing CRLF / trailers
                     return
@@ -172,86 +167,50 @@ class _RequestHandler(BaseHTTPRequestHandler):
                         raise BadRequest("body truncated mid-chunk")
                     left -= len(block)
                     yield block
-                self.rfile.readline(1024)  # CRLF after each chunk
+                if self.rfile.readline(1024).strip():
+                    raise LengthRequired(
+                        "bad chunked framing: no CRLF after a chunk"
+                    )
 
         return blocks()
 
     # ------------------------------------------------------------------
     # dispatch
     # ------------------------------------------------------------------
-    @staticmethod
-    def _route_template(path: str) -> str:
-        """The spec-style route a concrete path instantiates.
-
-        Metric labels must be low-cardinality: every job id maps onto
-        one ``{job_id}`` template, unknown paths onto ``other``.
-        """
-        if path in (
-            "/v1/healthz",
-            "/v1/metrics",
-            "/v1/openapi.json",
-            "/v1/partitions",
-            "/v1/stores",
-        ):
-            return path
-        if path.startswith("/v1/partitions/"):
-            rest = path[len("/v1/partitions/"):]
-            if rest.endswith("/assignment"):
-                return "/v1/partitions/{job_id}/assignment"
-            if rest and "/" not in rest:
-                return "/v1/partitions/{job_id}"
-        return "other"
-
     def _dispatch(self, method: str) -> None:
         api = self.server.api
-        path, params = self._params()
+        split = urlsplit(self.path)
+        path = split.path.rstrip("/") or "/"
+        label, routes, args = resolve(path)
         started = time.monotonic()
         try:
-            self._route(api, method, path, params)
+            self._serve(api, method, path, routes, args, split.query)
         finally:
-            api.observe_request(
-                method, self._route_template(path), time.monotonic() - started
-            )
+            api.observe_request(method, label, time.monotonic() - started)
 
-    def _route(self, api, method: str, path: str, params: dict) -> None:
+    def _serve(self, api, method, path, routes, args, query) -> None:
+        """Admission, route, method, body framing, then the handler."""
         try:
-            api.admit(path, self.headers)
-            if path == "/v1/healthz":
-                if method != "GET":
-                    raise MethodNotAllowed(f"{path} supports GET only")
-                self._send_json(*api.healthz())
-            elif path == "/v1/metrics":
-                if method != "GET":
-                    raise MethodNotAllowed(f"{path} supports GET only")
-                self._send_stream(*api.metrics())
-            elif path == "/v1/openapi.json":
-                if method != "GET":
-                    raise MethodNotAllowed(f"{path} supports GET only")
-                self._send_json(*api.openapi())
-            elif path == "/v1/partitions":
-                if method != "POST":
-                    raise MethodNotAllowed(f"{path} supports POST only")
-                body = None if "store" in params else self._body_blocks()
-                self._send_json(*api.create_partition(params, body))
-            elif path == "/v1/stores":
-                if method != "POST":
-                    raise MethodNotAllowed(f"{path} supports POST only")
-                self._send_json(*api.create_store(params, self._body_blocks()))
-            elif path.startswith("/v1/partitions/"):
-                if method != "GET":
-                    raise MethodNotAllowed(
-                        "/v1/partitions/<id> supports GET only"
-                    )
-                rest = path[len("/v1/partitions/"):]
-                if rest.endswith("/assignment"):
-                    job_id = rest[: -len("/assignment")]
-                    self._send_stream(*api.get_assignment(job_id))
-                elif "/" not in rest:
-                    self._send_json(*api.get_partition(rest))
-                else:
-                    raise NotFound(f"no route {path!r}")
-            else:
+            api.admit(
+                self.headers, public=any(r.public for r in routes.values())
+            )
+            route = routes.get(method)
+            if route is None and routes:
+                raise MethodNotAllowed(
+                    f"{path} supports {', '.join(routes)} only"
+                )
+            if route is None or args is None:
                 raise NotFound(f"no route {path!r}")
+            # repeated keys: last wins
+            params = dict(parse_qsl(query, keep_blank_values=True))
+            body = None
+            if route.body is True or (route.body and route.body not in params):
+                body = self._body_blocks()
+            reply = route.call(api, params, body, args)
+            if len(reply) == 3:
+                self._send_stream(*reply)
+            else:
+                self._send_json(*reply)
         except ServiceError as exc:
             self._send_error(exc)
         except BrokenPipeError:

@@ -1,4 +1,11 @@
-"""Route logic of the streaming partition service.
+"""The service's HTTP contract and route logic.
+
+Two tables declare the contract once: :data:`ROUTES` (method, path
+template, handler, public or not, body or not, accepted parameters) and
+the query :class:`Knob` tables :data:`PARTITION_QUERY` and
+:data:`UPLOAD_KNOBS`.  The router in :mod:`repro.service.app`,
+admission, the ``route`` metric label, parameter validation, the job
+links and :func:`~repro.service.openapi.openapi_spec` all read them.
 
 :class:`ServiceHandlers` is the service's brain, deliberately decoupled
 from :mod:`http.server` so tests and benchmarks can drive it without a
@@ -28,7 +35,7 @@ import tempfile
 import threading
 import time
 import uuid
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -75,6 +82,10 @@ from repro.partitioning.families import (
 __all__ = [
     "ServiceConfig",
     "ServiceHandlers",
+    "Route",
+    "ROUTES",
+    "PARTITION_QUERY",
+    "UPLOAD_KNOBS",
     "PARTITIONERS",
     "UPLOAD_FORMATS",
     "json_safe",
@@ -91,18 +102,141 @@ UPLOAD_FORMATS = {
 #: registering a family there makes it servable with no service change.
 PARTITIONERS = family_names()
 
-#: Query parameters that shape an upload's ingest.
-_UPLOAD_PARAMS = frozenset(
-    ("format", "model", "chunk_size", "buffer_pins", "pin_budget", "name")
+
+def _knob_table(*knobs: Knob) -> "dict[str, Knob]":
+    return {knob.name: knob for knob in knobs}
+
+
+#: Query parameters that shape an upload's ingest.  ``chunk_size`` and
+#: ``buffer_pins`` document the reader defaults; a service parses them
+#: against its :class:`ServiceConfig` defaults instead.
+UPLOAD_KNOBS = _knob_table(
+    Knob("format", "choice", "hmetis", "upload format: hMetis (.hgr) or "
+         "MatrixMarket coordinate (.mtx)", choices=tuple(UPLOAD_FORMATS)),
+    Knob("model", "choice", "row-net", "hypergraph model for format=mtx "
+         "(rejected otherwise)", choices=("row-net", "column-net")),
+    Knob("chunk_size", "int", DEFAULT_CHUNK_SIZE, "vertices per streamed "
+         "chunk (the ingest/replay granularity)", minimum=1),
+    Knob("buffer_pins", "int", DEFAULT_BUFFER_PINS, "ingest spill-buffer "
+         "capacity in pins — the resident-memory knob", minimum=1),
+    Knob("pin_budget", "int", None, "cut chunk boundaries by resident pins "
+         "instead of a fixed vertex count (hub-dominated graphs)", minimum=1),
+    Knob("name", "str", None, "stream name recorded in the store"),
 )
 
-#: Query parameters ``POST /v1/partitions`` understands: the upload
-#: ones, the partition knobs, and the service's own.
-_PARTITION_PARAMS = (
-    _UPLOAD_PARAMS
-    | frozenset(PARTITION_KNOBS)
-    | frozenset(("k", "seed", "cost", "sync", "store"))
+#: Every query parameter ``POST /v1/partitions`` accepts, in contract
+#: order: ``k``, the partition knobs, the service's own, then the
+#: upload ones.
+PARTITION_QUERY = _knob_table(
+    Knob("k", "int", None, "number of partitions", minimum=1, required=True),
+    *PARTITION_KNOBS.values(),
+    Knob("seed", "int", 20190805, "deterministic seed"),
+    Knob("cost", "choice", "uniform", "communication cost matrix: uniform "
+         "or an ARCHER-like profiled machine (architecture-aware)",
+         choices=("uniform", "archer")),
+    Knob("sync", "bool", False, "run on the request thread and return the "
+         "finished job (small graphs); otherwise the job is queued"),
+    Knob("store", "str", None, "partition a previous upload by digest "
+         "instead of sending a body — replays the mmap chunk store, no "
+         "text parse"),
+    *UPLOAD_KNOBS.values(),
 )
+
+
+def template_parts(template: str) -> "tuple[str, str, str]":
+    """``(prefix, name, suffix)`` around a route template's ``{name}``."""
+    prefix, _, rest = template.partition("{")
+    name, _, suffix = rest.partition("}")
+    return prefix, name, suffix
+
+
+@dataclass(frozen=True)
+class Route:
+    """One HTTP route: everything of its contract but the prose.
+
+    ``template`` may hold one ``{name}`` segment, matched by a non-empty
+    path segment and passed to ``handler`` (a :class:`ServiceHandlers`
+    method name) by keyword.  ``params`` are the query parameters the
+    route accepts; a route without any ignores the query, one with
+    some rejects unknown names and its handler takes ``(params, body)``.
+    ``body`` is ``True`` when the route reads a framed request body, or
+    the name of a query parameter that stands in for it.  ``public``
+    routes skip admission.
+    """
+
+    method: str
+    template: str
+    handler: str
+    params: "dict[str, Knob]" = field(default_factory=dict)
+    body: "bool | str" = False
+    public: bool = False
+
+    def call(self, api: "ServiceHandlers", params: dict, body, args: dict):
+        """Run the handler: ``(status, body)`` or ``(status,
+        content_type, blocks)``."""
+        handler = getattr(api, self.handler)
+        if not self.params:
+            return handler(**args)
+        unknown = sorted(set(params) - set(self.params))
+        if unknown:
+            raise BadRequest(
+                f"unknown parameter(s) for {self.method} {self.template}: "
+                f"{', '.join(unknown)} (accepted: "
+                f"{', '.join(sorted(self.params))})"
+            )
+        return handler(params, body)
+
+
+#: The service's routes, in contract order: with :data:`PARTITION_QUERY`
+#: the one declaration of the HTTP surface.  The router, admission, the
+#: ``route`` metric label, the job links and the OpenAPI document are
+#: all read from it.
+ROUTES = (
+    Route("POST", "/v1/partitions", "create_partition", PARTITION_QUERY,
+          body="store"),
+    Route("GET", "/v1/partitions/{job_id}", "get_partition"),
+    Route("GET", "/v1/partitions/{job_id}/assignment", "get_assignment"),
+    Route("POST", "/v1/stores", "create_store", UPLOAD_KNOBS, body=True),
+    Route("GET", "/v1/healthz", "healthz", public=True),
+    Route("GET", "/v1/metrics", "metrics", public=True),
+    Route("GET", "/v1/openapi.json", "openapi", public=True),
+)
+
+_BY_HANDLER = {route.handler: route for route in ROUTES}
+_AT: "dict[str, dict[str, Route]]" = {}
+for _route in ROUTES:
+    _AT.setdefault(_route.template, {})[_route.method] = _route
+_FIXED = {path: routes for path, routes in _AT.items() if "{" not in path}
+_TEMPLATED = [
+    (*template_parts(template), template, routes)
+    for template, routes in _AT.items()
+    if "{" in template
+]
+
+
+def resolve(path: str) -> "tuple[str, dict[str, Route], dict | None]":
+    """``(label, routes, args)`` for a normalised request path.
+
+    ``label`` is the matched template — the low-cardinality ``route``
+    metric label — or ``"other"``; ``routes`` maps each method the path
+    supports to its :class:`Route`; ``args`` holds the template's path
+    argument, ``None`` when no template matches.  A path below a
+    templated route (``/v1/partitions/<id>/x``) keeps that route's
+    methods, so another method is a 405 and a matching one a 404.
+    """
+    routes = _FIXED.get(path)
+    if routes is not None:
+        return path, routes, {}
+    below: "dict[str, Route]" = {}
+    for prefix, name, suffix, template, routes in _TEMPLATED:
+        if not path.startswith(prefix):
+            continue
+        value = path[len(prefix): len(path) - len(suffix)]
+        if path.endswith(suffix) and value and "/" not in value:
+            return template, routes, {name: value}
+        below.update(routes)
+    return "other", below, None
+
 
 #: Blocks per slice when streaming an assignment body.
 _ASSIGNMENT_SLICE = 1 << 16
@@ -200,23 +334,6 @@ class ServiceConfig:
 # ----------------------------------------------------------------------
 # parameter parsing
 # ----------------------------------------------------------------------
-def _reject_unknown(params: dict, allowed: frozenset, where: str) -> None:
-    unknown = sorted(set(params) - allowed)
-    if unknown:
-        raise BadRequest(
-            f"unknown parameter(s) for {where}: {', '.join(unknown)} "
-            f"(accepted: {', '.join(sorted(allowed))})"
-        )
-
-
-def _get(params: dict, name: str, kind: str, default=None, **limits):
-    """One query parameter parsed as a :class:`Knob`; bad values are 400s."""
-    try:
-        return Knob(name, kind, default, **limits).parse(params.get(name))
-    except ValueError as exc:
-        raise BadRequest(str(exc)) from None
-
-
 def _normalise_digest(raw: str) -> str:
     """Canonical ``"sha256:<hex>"`` form (bare hex accepted)."""
     value = raw.lower()
@@ -331,6 +448,25 @@ class ServiceHandlers:
             burst=self.config.rate_burst,
         )
         self.metrics_registry = self._build_metrics()
+        # The query table with this service's ingest defaults.
+        self.query = {
+            **PARTITION_QUERY,
+            "chunk_size": replace(
+                UPLOAD_KNOBS["chunk_size"],
+                default=self.config.default_chunk_size,
+            ),
+            "buffer_pins": replace(
+                UPLOAD_KNOBS["buffer_pins"],
+                default=self.config.default_buffer_pins,
+            ),
+        }
+
+    def _args(self, params: dict, *names: str) -> dict:
+        """The named query parameters parsed in order; bad values are 400s."""
+        try:
+            return {n: self.query[n].parse(params.get(n)) for n in names}
+        except ValueError as exc:
+            raise BadRequest(str(exc)) from None
 
     def _build_metrics(self) -> MetricsRegistry:
         """Wire every observable into the ``/v1/metrics`` registry.
@@ -405,10 +541,10 @@ class ServiceHandlers:
     # ------------------------------------------------------------------
     # admission
     # ------------------------------------------------------------------
-    def admit(self, path: str, headers) -> None:
+    def admit(self, headers, *, public: bool = False) -> None:
         """Gate one request; raises 401/403/429 and counts the refusal."""
         try:
-            self.admission.admit(path, headers)
+            self.admission.admit(headers, public=public)
         except ServiceError as exc:
             self._bump("rejected_requests")
             self.rejections.inc(reason=exc.code)
@@ -517,26 +653,12 @@ class ServiceHandlers:
                 "an upload body is required (or reference a previous "
                 "upload with store=<digest>)"
             )
-        fmt = _get(
-            params, "format", "choice", "hmetis", choices=tuple(UPLOAD_FORMATS)
+        kwargs = self._args(
+            params, "format", "chunk_size", "buffer_pins", "pin_budget", "name"
         )
-        kwargs = {
-            "chunk_size": _get(
-                params, "chunk_size", "int", self.config.default_chunk_size,
-                minimum=1,
-            ),
-            "buffer_pins": _get(
-                params, "buffer_pins", "int", self.config.default_buffer_pins,
-                minimum=1,
-            ),
-            "pin_budget": _get(params, "pin_budget", "int", minimum=1),
-            "name": params.get("name"),
-        }
+        fmt = kwargs.pop("format")
         if fmt == "mtx":
-            kwargs["model"] = _get(
-                params, "model", "choice", "row-net",
-                choices=("row-net", "column-net"),
-            )
+            kwargs.update(self._args(params, "model"))
         elif "model" in params:
             raise BadRequest("model only applies to format=mtx uploads")
 
@@ -573,7 +695,6 @@ class ServiceHandlers:
     # ------------------------------------------------------------------
     def create_store(self, params: dict, body) -> "tuple[int, dict]":
         """``POST /v1/stores`` — upload straight into the chunk store."""
-        _reject_unknown(params, _UPLOAD_PARAMS, "POST /v1/stores")
         info = self.ingest_upload(params, body)
         return (201 if info["created"] else 200), info
 
@@ -586,7 +707,6 @@ class ServiceHandlers:
         returned with status 200; otherwise the job is queued and a 202
         points the client at the poll URL.
         """
-        _reject_unknown(params, _PARTITION_PARAMS, "POST /v1/partitions")
         spec = self._partition_spec(params)
         if spec["store"] is not None:
             digest = spec["store"]
@@ -618,7 +738,7 @@ class ServiceHandlers:
         self.store_cache.touch(digest)
         if spec["sync"]:
             self.jobs.run(job, fn, on_complete=self._job_complete)
-            return 200, job.to_json()
+            return 200, self._job_doc(job)
         if not self.jobs.try_submit(job, fn, on_complete=self._job_complete):
             self.store_cache.unpin(digest)
             depth = self.jobs.queue_depth()
@@ -631,7 +751,7 @@ class ServiceHandlers:
                 retry_after=max(1, depth // max(1, self.jobs.workers)),
                 code="queue_full",
             )
-        return 202, job.to_json()
+        return 202, self._job_doc(job)
 
     def _job_complete(self, job: Job) -> None:
         """Parent-side accounting after a job reaches a terminal state.
@@ -660,12 +780,21 @@ class ServiceHandlers:
                 self.stats.get(f"kernel_{mode}_runs", 0) + 1
             )
 
+    @staticmethod
+    def _job_doc(job: Job) -> dict:
+        """The ``Job`` document, its links read from the route table."""
+        links = {"self": "get_partition", "assignment": "get_assignment"}
+        return {**job.to_json(), "links": {
+            rel: _BY_HANDLER[handler].template.format(job_id=job.id)
+            for rel, handler in links.items()
+        }}
+
     def get_partition(self, job_id: str) -> "tuple[int, dict]":
         """``GET /v1/partitions/<id>`` — poll a job's status/metrics."""
         job = self.jobs.get(job_id)
         if job is None:
             raise NotFound(f"no partition job {job_id!r}")
-        return 200, job.to_json()
+        return 200, self._job_doc(job)
 
     def get_assignment(self, job_id: str):
         """``GET /v1/partitions/<id>/assignment`` — the vector, streamed.
@@ -725,7 +854,7 @@ class ServiceHandlers:
         return 200, "text/plain; version=0.0.4; charset=utf-8", iter((body,))
 
     def openapi(self) -> "tuple[int, dict]":
-        """``GET /v1/openapi.json`` — the handwritten API contract."""
+        """``GET /v1/openapi.json`` — the API contract."""
         return 200, openapi_spec()
 
     # ------------------------------------------------------------------
@@ -743,17 +872,9 @@ class ServiceHandlers:
             spec = partition_spec(params)
         except ValueError as exc:
             raise BadRequest(str(exc)) from None
-        spec["k"] = _get(params, "k", "int", minimum=1)
-        if spec["k"] is None:
-            raise BadRequest("k (number of partitions) is required")
-        spec["seed"] = _get(params, "seed", "int", 20190805)
-        spec["cost"] = _get(
-            params, "cost", "choice", "uniform", choices=("uniform", "archer")
-        )
-        spec["sync"] = _get(params, "sync", "bool", False)
-        spec["store"] = (
-            _normalise_digest(params["store"]) if "store" in params else None
-        )
+        spec.update(self._args(params, "k", "seed", "cost", "sync", "store"))
+        if spec["store"] is not None:
+            spec["store"] = _normalise_digest(spec["store"])
         return spec
 
     def _job_fn(self, digest: str, spec: dict):

@@ -129,8 +129,9 @@ class Job:
     num_parts: "int | None" = None
 
     def to_json(self) -> dict:
-        """The client-facing job document (spec: ``Job`` schema)."""
-        doc = {
+        """The client-facing job document (spec: ``Job`` schema) but its
+        ``links``, which the service adds from its route table."""
+        return {
             "id": self.id,
             "status": self.status,
             "request": self.request,
@@ -140,12 +141,7 @@ class Job:
             "finished_at": self.finished_at,
             "error": self.error,
             "metrics": self.metrics,
-            "links": {
-                "self": f"/v1/partitions/{self.id}",
-                "assignment": f"/v1/partitions/{self.id}/assignment",
-            },
         }
-        return doc
 
     def finish_ok(self, assignment, num_parts, metrics) -> None:
         """Fill the success fields (shared by both pools)."""

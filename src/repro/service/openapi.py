@@ -1,25 +1,22 @@
-"""The service's API contract: a handwritten OpenAPI 3.0 document.
+"""The service's API contract: the OpenAPI 3.0 document.
 
-This dict is the **single source of truth** for the HTTP surface:
 ``GET /v1/openapi.json`` serves it verbatim, ``docs/service.md`` is
 diffed against it by ``tests/test_docs.py`` (every route, method,
 status code and schema field in the doc must match the spec, and vice
 versa), and the service tests assert the routes it declares are the
 routes the app dispatches.
 
-It is deliberately *handwritten* — no framework introspection — so the
-contract changes only when a human edits this file, and a drifted
-implementation fails tests instead of silently republishing itself.
-The one exception is the partition knobs: their parameters are
-generated from :data:`repro.partitioning.families.PARTITION_KNOBS`, the
-same table the service validates ``POST /v1/partitions`` against.
+The wire contract is not written here: every path, method, query and
+path parameter, request body and operation id is generated from
+:data:`repro.service.handlers.ROUTES` and the :class:`Knob` tables it
+references — the same tables the service routes, admits and validates
+with.  This module keeps only the prose, keyed by route handler: the
+summaries, the responses and the schemas.
 """
 
 from __future__ import annotations
 
 import copy
-
-from repro.partitioning.families import PARTITION_KNOBS, family_names
 
 __all__ = ["openapi_spec", "OPENAPI_VERSION", "SERVICE_VERSION"]
 
@@ -188,95 +185,33 @@ _HEALTH_SCHEMA = {
 }
 
 
-def _q(name, schema, description, required=False):
-    param = {
-        "name": name,
-        "in": "query",
-        "schema": schema,
-        "description": description,
-    }
-    if required:
-        param["required"] = True
-    return param
-
-
-_UPLOAD_PARAMETERS = [
-    _q(
-        "format",
-        {"type": "string", "enum": ["hmetis", "mtx"], "default": "hmetis"},
-        "upload format: hMetis (.hgr) or MatrixMarket coordinate (.mtx)",
-    ),
-    _q(
-        "model",
-        {"type": "string", "enum": ["row-net", "column-net"], "default": "row-net"},
-        "hypergraph model for format=mtx (rejected otherwise)",
-    ),
-    _q(
-        "chunk_size",
-        {"type": "integer", "default": 1024, "minimum": 1},
-        "vertices per streamed chunk (the ingest/replay granularity)",
-    ),
-    _q(
-        "buffer_pins",
-        {"type": "integer", "default": 65536, "minimum": 1},
-        "ingest spill-buffer capacity in pins — the resident-memory knob",
-    ),
-    _q(
-        "pin_budget",
-        {"type": "integer", "minimum": 1},
-        "cut chunk boundaries by resident pins instead of a fixed "
-        "vertex count (hub-dominated graphs)",
-    ),
-    _q("name", {"type": "string"}, "stream name recorded in the store"),
-]
-
-
-def _knob_parameter(knob):
-    """The OpenAPI query parameter for one :data:`PARTITION_KNOBS` entry."""
+def _query_parameter(knob):
+    """The OpenAPI query parameter for one :class:`Knob`."""
     if knob.kind == "bool":
         schema = {"type": "string", "enum": ["1", "0"]}
     elif knob.kind == "choice":
         schema = {"type": "string", "enum": list(knob.options())}
     else:
-        schema = {"type": "integer" if knob.kind == "int" else "number"}
+        types = {"int": "integer", "float": "number", "str": "string"}
+        schema = {"type": types[knob.kind]}
     if knob.default is not None:
         schema["default"] = (
             str(int(knob.default)) if knob.kind == "bool" else knob.default
         )
     if knob.minimum is not None:
         schema["minimum"] = knob.minimum
-    description = knob.description.format(choices=", ".join(knob.options()))
-    return _q(knob.name, schema, description)
+    param = {
+        "name": knob.name,
+        "in": "query",
+        "schema": schema,
+        "description": knob.description.format(
+            choices=", ".join(knob.options())
+        ),
+    }
+    if knob.required:
+        param["required"] = True
+    return param
 
-
-_PARTITION_PARAMETERS = [
-    _q(
-        "k",
-        {"type": "integer", "minimum": 1},
-        "number of partitions",
-        required=True,
-    ),
-    *(_knob_parameter(knob) for knob in PARTITION_KNOBS.values()),
-    _q("seed", {"type": "integer", "default": 20190805}, "deterministic seed"),
-    _q(
-        "cost",
-        {"type": "string", "enum": ["uniform", "archer"], "default": "uniform"},
-        "communication cost matrix: uniform or an ARCHER-like profiled "
-        "machine (architecture-aware)",
-    ),
-    _q(
-        "sync",
-        {"type": "string", "enum": ["1", "0"], "default": "0"},
-        "run on the request thread and return the finished job (small "
-        "graphs); otherwise the job is queued",
-    ),
-    _q(
-        "store",
-        {"type": "string"},
-        "partition a previous upload by digest instead of sending a "
-        "body — replays the mmap chunk store, no text parse",
-    ),
-] + _UPLOAD_PARAMETERS
 
 _UPLOAD_BODY = {
     "description": "The hypergraph text bytes (hMetis or MatrixMarket "
@@ -293,24 +228,15 @@ _UPLOAD_BODY = {
 }
 
 
-def _error_response(description):
-    return {
-        "description": description,
-        "content": {
-            "application/json": {
-                "schema": {"$ref": "#/components/schemas/Error"}
-            }
-        },
-    }
-
-
 def _json_response(description, ref):
     return {
         "description": description,
-        "content": {
-            "application/json": {"schema": {"$ref": ref}}
-        },
+        "content": {"application/json": {"schema": {"$ref": ref}}},
     }
+
+
+def _error_response(description):
+    return _json_response(description, "#/components/schemas/Error")
 
 
 def _auth_responses():
@@ -332,217 +258,199 @@ def _auth_responses():
     }
 
 
-_SPEC = {
-    "openapi": OPENAPI_VERSION,
-    "info": {
-        "title": "HyperPRAW streaming partition service",
-        "version": SERVICE_VERSION,
-        "description": (
-            "Upload a hypergraph (hMetis or MatrixMarket), stream it "
-            "through the out-of-core readers into an architecture-aware "
-            "streaming partitioner, and poll for the assignment.  "
-            "Uploads land in a digest-keyed persistent chunk store, so "
-            "re-partitioning the same bytes with different parameters "
-            "replays memory-mapped chunks instead of re-parsing text."
-        ),
+#: The prose of each route, keyed by its handler: the summary, any
+#: path parameter's description, and the responses.
+_OPERATIONS = {
+    "create_partition": {
+        "summary": "Upload a hypergraph (or reference a stored digest) and "
+        "start a partition job",
+        "responses": {
+            "200": _json_response(
+                "sync=1: the finished job record (status done or failed)",
+                "#/components/schemas/Job",
+            ),
+            "202": _json_response(
+                "job accepted and queued; poll links.self",
+                "#/components/schemas/Job",
+            ),
+            "400": _error_response(
+                "bad parameter or malformed upload "
+                "(codes bad_request / invalid_upload)"
+            ),
+            "404": _error_response("store= digest has no chunk store"),
+            "409": _error_response(
+                "store= digest was evicted by the byte budget (code "
+                "store_evicted); re-upload the same bytes to restore it"
+            ),
+            "411": _error_response(
+                "body without Content-Length or chunked framing"
+            ),
+            "413": _error_response(
+                "body exceeds the configured max_body_bytes cap"
+            ),
+            **_auth_responses(),
+            "429": _error_response(
+                "over the per-key rate limit (code rate_limited) or the job "
+                "queue is at max_queue_depth (code queue_full); the "
+                "Retry-After header says when to retry"
+            ),
+        },
     },
-    "paths": {
-        "/v1/partitions": {
-            "post": {
-                "operationId": "createPartition",
-                "summary": "Upload a hypergraph (or reference a stored "
-                "digest) and start a partition job",
-                "parameters": copy.deepcopy(_PARTITION_PARAMETERS),
-                "requestBody": copy.deepcopy(_UPLOAD_BODY),
-                "responses": {
-                    "200": _json_response(
-                        "sync=1: the finished job record (status done "
-                        "or failed)",
-                        "#/components/schemas/Job",
-                    ),
-                    "202": _json_response(
-                        "job accepted and queued; poll links.self",
-                        "#/components/schemas/Job",
-                    ),
-                    "400": _error_response(
-                        "bad parameter or malformed upload "
-                        "(codes bad_request / invalid_upload)"
-                    ),
-                    "404": _error_response("store= digest has no chunk store"),
-                    "409": _error_response(
-                        "store= digest was evicted by the byte budget "
-                        "(code store_evicted); re-upload the same bytes "
-                        "to restore it"
-                    ),
-                    "411": _error_response(
-                        "body without Content-Length or chunked framing"
-                    ),
-                    "413": _error_response(
-                        "body exceeds the configured max_body_bytes cap"
-                    ),
-                    **_auth_responses(),
-                    "429": _error_response(
-                        "over the per-key rate limit (code rate_limited) "
-                        "or the job queue is at max_queue_depth (code "
-                        "queue_full); the Retry-After header says when "
-                        "to retry"
-                    ),
-                },
-            }
+    "get_partition": {
+        "summary": "Poll a partition job's status and metrics",
+        "job_id": "id returned by POST /v1/partitions",
+        "responses": {
+            "200": _json_response("the job record", "#/components/schemas/Job"),
+            "404": _error_response("unknown job id"),
+            **_auth_responses(),
         },
-        "/v1/partitions/{job_id}": {
-            "get": {
-                "operationId": "getPartition",
-                "summary": "Poll a partition job's status and metrics",
-                "parameters": [
-                    {
-                        "name": "job_id",
-                        "in": "path",
-                        "required": True,
-                        "schema": {"type": "string"},
-                        "description": "id returned by POST /v1/partitions",
-                    }
-                ],
-                "responses": {
-                    "200": _json_response(
-                        "the job record", "#/components/schemas/Job"
-                    ),
-                    "404": _error_response("unknown job id"),
-                    **_auth_responses(),
-                },
-            }
+    },
+    "get_assignment": {
+        "summary": "Stream the finished assignment, one partition id per "
+        "line (line v = vertex v)",
+        "job_id": "id of a job with status done",
+        "responses": {
+            "200": {
+                "description": "the assignment vector as newline-separated "
+                "integers, streamed",
+                "content": {"text/plain": {"schema": {"type": "string"}}},
+            },
+            "404": _error_response("unknown job id"),
+            "409": _error_response(
+                "job exists but is not done (queued, running or failed)"
+            ),
+            **_auth_responses(),
         },
-        "/v1/partitions/{job_id}/assignment": {
-            "get": {
-                "operationId": "getAssignment",
-                "summary": "Stream the finished assignment, one partition "
-                "id per line (line v = vertex v)",
-                "parameters": [
-                    {
-                        "name": "job_id",
-                        "in": "path",
-                        "required": True,
-                        "schema": {"type": "string"},
-                        "description": "id of a job with status done",
-                    }
-                ],
-                "responses": {
-                    "200": {
-                        "description": "the assignment vector as "
-                        "newline-separated integers, streamed",
-                        "content": {
-                            "text/plain": {"schema": {"type": "string"}}
-                        },
-                    },
-                    "404": _error_response("unknown job id"),
-                    "409": _error_response(
-                        "job exists but is not done (queued, running or "
-                        "failed)"
-                    ),
-                    **_auth_responses(),
-                },
-            }
+    },
+    "create_store": {
+        "summary": "Upload a hypergraph into the digest-keyed chunk store "
+        "without partitioning it",
+        "responses": {
+            "201": _json_response(
+                "a new chunk store was written",
+                "#/components/schemas/StoreInfo",
+            ),
+            "200": _json_response(
+                "identical bytes were already stored (created: false)",
+                "#/components/schemas/StoreInfo",
+            ),
+            "400": _error_response("bad parameter or malformed upload"),
+            "411": _error_response(
+                "body without Content-Length or chunked framing"
+            ),
+            "413": _error_response(
+                "body exceeds the configured max_body_bytes cap"
+            ),
+            **_auth_responses(),
         },
-        "/v1/stores": {
-            "post": {
-                "operationId": "createStore",
-                "summary": "Upload a hypergraph into the digest-keyed "
-                "chunk store without partitioning it",
-                "parameters": copy.deepcopy(_UPLOAD_PARAMETERS),
-                "requestBody": copy.deepcopy(_UPLOAD_BODY),
-                "responses": {
-                    "201": _json_response(
-                        "a new chunk store was written",
-                        "#/components/schemas/StoreInfo",
-                    ),
-                    "200": _json_response(
-                        "identical bytes were already stored (created: "
-                        "false)",
-                        "#/components/schemas/StoreInfo",
-                    ),
-                    "400": _error_response(
-                        "bad parameter or malformed upload"
-                    ),
-                    "411": _error_response(
-                        "body without Content-Length or chunked framing"
-                    ),
-                    "413": _error_response(
-                        "body exceeds the configured max_body_bytes cap"
-                    ),
-                    **_auth_responses(),
-                },
-            }
+    },
+    "healthz": {
+        "summary": "Liveness, job counts and ingest/replay counters",
+        "responses": {
+            "200": _json_response(
+                "service is up", "#/components/schemas/Health"
+            )
         },
-        "/v1/healthz": {
-            "get": {
-                "operationId": "healthz",
-                "summary": "Liveness, job counts and ingest/replay counters",
-                "responses": {
-                    "200": _json_response(
-                        "service is up", "#/components/schemas/Health"
-                    )
-                },
-            }
-        },
-        "/v1/metrics": {
-            "get": {
-                "operationId": "metrics",
-                "summary": "Operational metrics in Prometheus text format",
-                "responses": {
-                    "200": {
-                        "description": "the metrics exposition: healthz "
-                        "counters plus queue depth, store bytes, "
-                        "evictions, admission rejections and per-route "
-                        "request latency histograms "
-                        "(repro_request_seconds)",
-                        "content": {
-                            "text/plain": {"schema": {"type": "string"}}
-                        },
-                    }
-                },
-            }
-        },
-        "/v1/openapi.json": {
-            "get": {
-                "operationId": "openapi",
-                "summary": "This document",
-                "responses": {
-                    "200": {
-                        "description": "the OpenAPI contract",
-                        "content": {
-                            "application/json": {"schema": {"type": "object"}}
-                        },
-                    }
-                },
+    },
+    "metrics": {
+        "summary": "Operational metrics in Prometheus text format",
+        "responses": {
+            "200": {
+                "description": "the metrics exposition: healthz counters "
+                "plus queue depth, store bytes, evictions, admission "
+                "rejections and per-route request latency histograms "
+                "(repro_request_seconds)",
+                "content": {"text/plain": {"schema": {"type": "string"}}},
             }
         },
     },
-    "components": {
-        "schemas": {
-            "Error": _ERROR_SCHEMA,
-            "StoreInfo": _STORE_INFO_SCHEMA,
-            "Job": _JOB_SCHEMA,
-            "Health": _HEALTH_SCHEMA,
-        }
+    "openapi": {
+        "summary": "This document",
+        "responses": {
+            "200": {
+                "description": "the OpenAPI contract",
+                "content": {
+                    "application/json": {"schema": {"type": "object"}}
+                },
+            }
+        },
     },
 }
 
+_INFO = {
+    "title": "HyperPRAW streaming partition service",
+    "version": SERVICE_VERSION,
+    "description": (
+        "Upload a hypergraph (hMetis or MatrixMarket), stream it through "
+        "the out-of-core readers into an architecture-aware streaming "
+        "partitioner, and poll for the assignment.  Uploads land in a "
+        "digest-keyed persistent chunk store, so re-partitioning the same "
+        "bytes with different parameters replays memory-mapped chunks "
+        "instead of re-parsing text."
+    ),
+}
+
+_SCHEMAS = {
+    "Error": _ERROR_SCHEMA,
+    "StoreInfo": _STORE_INFO_SCHEMA,
+    "Job": _JOB_SCHEMA,
+    "Health": _HEALTH_SCHEMA,
+}
+
+
+def _operation(route, path_arg: str) -> dict:
+    """One route's operation: the table's contract plus the prose;
+    ``path_arg`` names the template's path parameter (empty if none)."""
+    prose = _OPERATIONS[route.handler]
+    head, *tail = route.handler.split("_")
+    op = {
+        "operationId": head + "".join(word.title() for word in tail),
+        "summary": prose["summary"],
+    }
+    parameters = [
+        {
+            "name": path_arg,
+            "in": "path",
+            "required": True,
+            "schema": {"type": "string"},
+            "description": prose[path_arg],
+        }
+    ] if path_arg else []
+    parameters += [_query_parameter(knob) for knob in route.params.values()]
+    if parameters:
+        op["parameters"] = parameters
+    if route.body:
+        op["requestBody"] = _UPLOAD_BODY
+    op["responses"] = prose["responses"]
+    return op
+
 
 def openapi_spec() -> dict:
-    """A deep copy of the service's OpenAPI document.
+    """The service's OpenAPI document, built from the route table.
 
     Returns
     -------
     dict
         the full OpenAPI 3.0 spec; a fresh copy each call, so callers
         (including the route handler serialising it) can never mutate
-        the contract.  The ``partitioner`` enum is re-read from the
-        live :data:`repro.partitioning.families.PARTITIONERS` registry
-        on every call, so a family registered at runtime shows up in
-        the served contract immediately.
+        the contract.  Knob choices are read live, so a family
+        registered at runtime in
+        :data:`repro.partitioning.families.PARTITIONERS` shows up in
+        the ``partitioner`` enum immediately.
     """
-    spec = copy.deepcopy(_SPEC)
-    for param in spec["paths"]["/v1/partitions"]["post"]["parameters"]:
-        if param["name"] == "partitioner":
-            param["schema"]["enum"] = list(family_names())
-    return spec
+    # Deferred: the handlers serve this document.
+    from repro.service.handlers import ROUTES, template_parts
+
+    paths: "dict[str, dict]" = {}
+    for route in ROUTES:
+        paths.setdefault(route.template, {})[route.method.lower()] = (
+            _operation(route, template_parts(route.template)[1])
+        )
+    return copy.deepcopy(
+        {
+            "openapi": OPENAPI_VERSION,
+            "info": _INFO,
+            "paths": paths,
+            "components": {"schemas": _SCHEMAS},
+        }
+    )

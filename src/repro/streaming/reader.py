@@ -164,7 +164,7 @@ def _open_text_source(
     """
     if isinstance(source, (str, os.PathLike)):
         path = Path(source)
-        return open(path, "r"), str(path), path, True
+        return open(path, "r", encoding="utf-8"), str(path), path, True
     if isinstance(source, io.TextIOBase):
         return source, label or "<stream>", None, False
     if isinstance(source, (bytes, bytearray, memoryview)):
@@ -180,7 +180,9 @@ def _open_text_source(
             "source must be a path, an open file, bytes, or an iterable "
             f"of bytes blocks, got {type(source).__name__}"
         )
-    fh = io.TextIOWrapper(io.BufferedReader(_ByteBlockReader(blocks)))
+    fh = io.TextIOWrapper(
+        io.BufferedReader(_ByteBlockReader(blocks)), encoding="utf-8"
+    )
     return fh, label or "<stream>", None, True
 
 
@@ -461,11 +463,12 @@ class _SpilledChunkStream(ChunkStream):
 
     def __init__(
         self,
-        source,
-        name: "str | None",
-        chunk_size: int,
-        buffer_pins: int,
+        source: "str | Path | object",
+        *,
+        chunk_size: int = DEFAULT_CHUNK_SIZE,
+        buffer_pins: int = DEFAULT_BUFFER_PINS,
         pin_budget: "int | None" = None,
+        name: "str | None" = None,
     ) -> None:
         if chunk_size < 1:
             raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
@@ -494,6 +497,11 @@ class _SpilledChunkStream(ChunkStream):
         # close (idempotent) before re-raising.
         try:
             self._ingest(label, fh)
+        except UnicodeDecodeError as exc:
+            self.close()
+            raise HypergraphFormatError(
+                f"{label}: not valid UTF-8 text ({exc.reason})"
+            ) from exc
         except BaseException:
             self.close()
             raise
@@ -564,26 +572,15 @@ class _SpilledChunkStream(ChunkStream):
 class HmetisChunkStream(_SpilledChunkStream):
     """One-pass chunked reader for the hMetis format.
 
-    Shares header/edge-line/vertex-weight validation with
-    :func:`repro.hypergraph.io.read_hmetis` — malformed files raise the
-    same :class:`HypergraphFormatError` — but the source is consumed line
-    by line and pins go straight to the spill store.  ``source`` may be a
+    The one hMetis parser (:func:`repro.hypergraph.io.read_hmetis` is
+    :func:`assemble` over it): the source is consumed line by line, pins
+    go straight to the spill store, and malformed input raises
+    :class:`HypergraphFormatError`.  ``source`` may be a
     path or any byte source accepted by the format-agnostic adapter (an
     open file, ``bytes``, or an iterable of byte blocks — e.g. an HTTP
     request body).  Constructor parameters are those of
     :func:`stream_hmetis`, the public entry point.
     """
-
-    def __init__(
-        self,
-        source: "str | Path | object",
-        *,
-        chunk_size: int = DEFAULT_CHUNK_SIZE,
-        buffer_pins: int = DEFAULT_BUFFER_PINS,
-        pin_budget: "int | None" = None,
-        name: "str | None" = None,
-    ) -> None:
-        super().__init__(source, name, chunk_size, buffer_pins, pin_budget)
 
     def _ingest(self, path: str, fh) -> None:
         lines = _data_lines(fh)
@@ -622,7 +619,7 @@ class HmetisChunkStream(_SpilledChunkStream):
                     path, lineno, tokens
                 )
                 weights_seen += 1
-            # trailing lines are ignored, as in read_hmetis
+            # trailing lines are ignored
 
         if edges_seen < num_edges:
             raise HypergraphFormatError(
@@ -633,14 +630,14 @@ class HmetisChunkStream(_SpilledChunkStream):
                 f"{path}: expected {num_vertices} vertex-weight lines, "
                 f"found {weights_seen}"
             )
-        if header.has_edge_weights and (self.edge_weights <= 0).any():
-            raise HypergraphFormatError(
-                f"{path}: edge_weights must be strictly positive"
-            )
-        if header.has_vertex_weights and (self.vertex_weights <= 0).any():
-            raise HypergraphFormatError(
-                f"{path}: vertex_weights must be strictly positive"
-            )
+        for label, weights in (
+            ("edge_weights", self.edge_weights),
+            ("vertex_weights", self.vertex_weights),
+        ):
+            if not (np.isfinite(weights) & (weights > 0)).all():
+                raise HypergraphFormatError(
+                    f"{path}: {label} must be finite and strictly positive"
+                )
         spill.flush()
         self._finalise_chunks()
         self.total_vertex_weight = float(self.vertex_weights.sum())
@@ -670,22 +667,13 @@ class MatrixMarketChunkStream(_SpilledChunkStream):
     :func:`stream_matrix_market`, the public entry point.
     """
 
-    def __init__(
-        self,
-        source: "str | Path | object",
-        *,
-        model: str = "row-net",
-        chunk_size: int = DEFAULT_CHUNK_SIZE,
-        buffer_pins: int = DEFAULT_BUFFER_PINS,
-        pin_budget: "int | None" = None,
-        name: "str | None" = None,
-    ) -> None:
+    def __init__(self, source, *, model: str = "row-net", **kwargs) -> None:
         if model not in ("row-net", "column-net"):
             raise ValueError(
                 f"model must be 'row-net' or 'column-net', got {model!r}"
             )
         self.model = model
-        super().__init__(source, name, chunk_size, buffer_pins, pin_budget)
+        super().__init__(source, **kwargs)
 
     def _ingest(self, path: str, fh) -> None:
         banner = fh.readline()
@@ -728,6 +716,15 @@ class MatrixMarketChunkStream(_SpilledChunkStream):
             raise HypergraphFormatError(
                 f"{path}:{lineno + 1}: non-integer size line"
             ) from exc
+        if min(num_rows, num_cols, nnz) < 0:
+            raise HypergraphFormatError(
+                f"{path}:{lineno + 1}: negative count in size line"
+            )
+        if symmetric and num_rows != num_cols:
+            raise HypergraphFormatError(
+                f"{path}:{lineno + 1}: {mm_symmetry} matrix must be square, "
+                f"got {num_rows} x {num_cols}"
+            )
 
         # Row-net: columns are vertices, rows are nets; column-net flips.
         row_net = self.model == "row-net"

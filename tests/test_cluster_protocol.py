@@ -9,9 +9,11 @@ mid-ingest or mid-round degrades (or fails loudly under
 ``on_loss="fail"``) within the socket timeout, never hanging.
 """
 
+import json
 import socket
 import struct
 import threading
+import time
 import zlib
 
 import numpy as np
@@ -462,6 +464,41 @@ class TestWorkerSessionFailures:
             send_message(sock, {"type": "shutdown"})
             reply, _ = recv_message(sock)
             assert reply["type"] == "bye"
+
+
+    @pytest.mark.parametrize(
+        "stall",
+        [frame(encode_payload({"type": "hello"}))[:11], b""],
+        ids=["half-header", "silent"],
+    )
+    def test_stalled_first_frame_dropped_at_deadline(
+        self, worker, stall, monkeypatch, capsys
+    ):
+        """A peer that stalls before its first frame is whole is refused
+        at the first-frame deadline, and the next peer is served."""
+        import repro.cluster.worker as worker_mod
+
+        deadline = 0.3
+        monkeypatch.setattr(worker_mod, "FIRST_FRAME_DEADLINE_S", deadline)
+        with self._connect(worker) as sock:
+            started = time.monotonic()
+            sock.sendall(stall)
+            reply, _ = recv_message(sock)
+            elapsed = time.monotonic() - started
+            assert sock.recv(1) == b""  # then hung up
+        assert (reply["type"], reply["code"]) == ("error", "protocol_error")
+        assert "first frame" in reply["error"]
+        assert deadline * 0.9 <= elapsed < deadline + 2.0
+        with self._connect(worker) as sock:
+            send_message(sock, {"type": "shutdown"})
+            reply, _ = recv_message(sock)
+            assert reply["type"] == "bye"
+        refused = [
+            json.loads(line)
+            for line in capsys.readouterr().out.splitlines()
+            if '"refused"' in line
+        ]
+        assert [r["code"] for r in refused] == ["protocol_error"]
 
 
 class TestCoordinatorNeverHangs:

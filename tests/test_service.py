@@ -14,6 +14,7 @@ import http.client
 import json
 import socket
 import threading
+import time
 import urllib.error
 import urllib.request
 from pathlib import Path
@@ -195,6 +196,17 @@ class TestErrorPaths:
         )
         assert (status, code) == (400, "invalid_upload")
 
+    @pytest.mark.parametrize(
+        "body",
+        [b"1 2\n1 \xff2\n", b"1 3 1\nnan 1 2\n", b"1 3 1\ninf 1 2\n"],
+        ids=["non-utf8", "nan-weight", "inf-weight"],
+    )
+    def test_invalid_text_or_weights_400(self, service, body):
+        status, code = self._error(
+            _request(f"{service.url}/v1/partitions?k=2&sync=1", data=body)
+        )
+        assert (status, code) == (400, "invalid_upload")
+
     def test_missing_k_400(self, service, tiny_hgr):
         status, code = self._error(
             _request(f"{service.url}/v1/partitions", data=tiny_hgr)
@@ -314,6 +326,76 @@ class TestErrorPaths:
         assert status == 200
         if job["status"] == "failed":  # cap-dependent; either is legal
             assert job["error"]["message"]
+
+
+class TestUploadFraming:
+    """Malformed upload framing, sent raw to one service: every case is
+    a 4xx JSON error envelope within a bounded time, never a 500."""
+
+    BODY = b"1 3\n1 2 3\n"  # a valid 3-vertex upload, 0xa bytes
+
+    CASES = [
+        ("bad-hex-size", b"Transfer-Encoding: chunked", b"zz\r\n" + BODY, 411),
+        ("negative-size", b"Transfer-Encoding: chunked",
+         b"-2\r\nab\r\n0\r\n\r\n", 411),
+        ("prefixed-size", b"Transfer-Encoding: chunked",
+         b"0xa\r\n" + BODY + b"\r\n0\r\n\r\n", 411),
+        ("truncated-chunk", b"Transfer-Encoding: chunked",
+         b"20\r\n" + BODY, 400),
+        ("missing-crlf", b"Transfer-Encoding: chunked",
+         b"a\r\n" + BODY + b"junk\r\n0\r\n\r\n", 411),
+        ("past-max-body", b"Transfer-Encoding: chunked",
+         b"1000\r\n" + BODY, 413),
+        ("long-content-length", b"Content-Length: 100", BODY, 400),
+    ]
+
+    @pytest.fixture(scope="class")
+    def capped(self, tmp_path_factory):
+        cfg = ServiceConfig(
+            port=0,
+            workers=1,
+            pool="thread",
+            cache_dir=tmp_path_factory.mktemp("framing"),
+            max_body_bytes=1024,
+        )
+        with PartitionService(cfg) as svc:
+            yield svc
+
+    @pytest.mark.parametrize(
+        "header,body,expected", [c[1:] for c in CASES], ids=[c[0] for c in CASES]
+    )
+    def test_bad_framing_is_a_json_4xx(self, capped, header, body, expected):
+        started = time.monotonic()
+        with socket.create_connection(("127.0.0.1", capped.port), timeout=10) as s:
+            s.sendall(
+                b"POST /v1/partitions?k=2&sync=1 HTTP/1.0\r\n"
+                + header + b"\r\n\r\n" + body
+            )
+            s.shutdown(socket.SHUT_WR)
+            resp = b""
+            while chunk := s.recv(4096):
+                resp += chunk
+        assert time.monotonic() - started < 10
+        head, _, payload = resp.partition(b"\r\n\r\n")
+        assert int(head.split()[1]) == expected, resp
+        error = json.loads(payload)["error"]
+        assert set(error) == {"code", "message"}
+
+    def test_well_framed_chunks_still_accepted(self, capped):
+        with socket.create_connection(("127.0.0.1", capped.port), timeout=10) as s:
+            s.sendall(
+                b"POST /v1/partitions?k=2&sync=1 HTTP/1.0\r\n"
+                b"Transfer-Encoding: chunked\r\n\r\n"
+                b"4;ext=1\r\n" + self.BODY[:4] + b"\r\n"
+                b"6\r\n" + self.BODY[4:] + b"\r\n0\r\n\r\n"
+            )
+            s.shutdown(socket.SHUT_WR)
+            resp = b""
+            while chunk := s.recv(4096):
+                resp += chunk
+        head, _, payload = resp.partition(b"\r\n\r\n")
+        assert int(head.split()[1]) == 200, resp
+        assert json.loads(payload)["status"] == "done"
 
 
 # ----------------------------------------------------------------------

@@ -49,23 +49,25 @@ def _assert_stream_matches(stream, reference):
 class TestHmetisStream:
     @pytest.mark.parametrize("chunk_size", [1, 3, 64, 10_000])
     def test_concatenates_to_read_hmetis(self, tiny_hypergraph, tmp_path, chunk_size):
-        path = tmp_path / "h.hgr"
+        path = tmp_path / "tiny.hgr"
         write_hmetis(tiny_hypergraph, path)
         _assert_stream_matches(
-            stream_hmetis(path, chunk_size=chunk_size), read_hmetis(path)
+            stream_hmetis(path, chunk_size=chunk_size), tiny_hypergraph
         )
 
     def test_weighted_fmt11(self, weighted_hypergraph, tmp_path):
-        path = tmp_path / "w.hgr"
+        path = tmp_path / "weighted.hgr"
         write_hmetis(weighted_hypergraph, path, write_weights=True)
-        _assert_stream_matches(stream_hmetis(path, chunk_size=2), read_hmetis(path))
+        _assert_stream_matches(stream_hmetis(path, chunk_size=2), weighted_hypergraph)
 
     def test_fmt1_edge_weights_only(self, tmp_path):
         path = tmp_path / "ew.hgr"
         path.write_text("2 3 1\n9 1 2\n4 2 3\n")
         stream = stream_hmetis(path, chunk_size=2)
         assert stream.edge_weights.tolist() == [9.0, 4.0]
-        _assert_stream_matches(stream, read_hmetis(path))
+        _assert_stream_matches(
+            stream, Hypergraph(3, [[0, 1], [1, 2]], edge_weights=[9, 4], name="ew")
+        )
 
     def test_fmt10_vertex_weights_only(self, tmp_path):
         path = tmp_path / "vw.hgr"
@@ -73,22 +75,27 @@ class TestHmetisStream:
         stream = stream_hmetis(path, chunk_size=2)
         assert stream.vertex_weights.tolist() == [5.0, 6.0, 7.0]
         assert stream.total_vertex_weight == 18.0
-        _assert_stream_matches(stream, read_hmetis(path))
+        _assert_stream_matches(
+            stream,
+            Hypergraph(3, [[0, 1], [1, 2]], vertex_weights=[5, 6, 7], name="vw"),
+        )
 
     def test_comments_and_duplicate_pins(self, tmp_path):
         path = tmp_path / "c.hgr"
         path.write_text("% header comment\n2 4\n1 2 2 1\n% mid comment\n3 4\n")
-        _assert_stream_matches(stream_hmetis(path, chunk_size=3), read_hmetis(path))
+        _assert_stream_matches(
+            stream_hmetis(path, chunk_size=3),
+            Hypergraph(4, [[0, 1], [2, 3]], name="c"),
+        )
 
     def test_fractional_edge_weights_roundtrip(self, tmp_path):
         # write_hmetis emits non-integral weights as floats; both readers
         # must round-trip the library's own output
-        hg = Hypergraph(3, [[0, 1], [1, 2]], edge_weights=[1.5, 2.25])
+        hg = Hypergraph(3, [[0, 1], [1, 2]], edge_weights=[1.5, 2.25], name="frac")
         path = tmp_path / "frac.hgr"
         write_hmetis(hg, path, write_weights=True)
-        ref = read_hmetis(path)
-        assert ref.edge_weights.tolist() == [1.5, 2.25]
-        _assert_stream_matches(stream_hmetis(path, chunk_size=2), ref)
+        assert read_hmetis(path).edge_weights.tolist() == [1.5, 2.25]
+        _assert_stream_matches(stream_hmetis(path, chunk_size=2), hg)
 
     def test_bad_edge_weight_token(self, tmp_path):
         path = tmp_path / "badw.hgr"
@@ -102,7 +109,10 @@ class TestHmetisStream:
         path = tmp_path / "inst.hgr"
         write_hmetis(small_random, path)
         _assert_stream_matches(
-            stream_hmetis(path, chunk_size=50, buffer_pins=128), read_hmetis(path)
+            stream_hmetis(
+                path, chunk_size=50, buffer_pins=128, name=small_random.name
+            ),
+            small_random,
         )
 
     @pytest.mark.parametrize(
@@ -116,6 +126,7 @@ class TestHmetisStream:
             ("1 3\nx y\n", "non-integer"),
             ("1 3 1\n5\n", "weighted hyperedge"),
             ("2 3 10\n1 2\n2 3\n5\n", "vertex-weight"),
+            ("-1 3\n1 2\n", "num_edges must be >= 0"),
         ],
     )
     def test_malformed_raises_like_read_hmetis(self, tmp_path, text, match):
@@ -123,9 +134,7 @@ class TestHmetisStream:
         path.write_text(text)
         with pytest.raises(HypergraphFormatError, match=match):
             stream_hmetis(path)
-        # the in-memory reader rejects the same files (message prefixes may
-        # differ for errors it reports against a different section)
-        with pytest.raises((HypergraphFormatError, ValueError)):
+        with pytest.raises(HypergraphFormatError, match=match):
             read_hmetis(path)
 
     def test_reiterable(self, tiny_hypergraph, tmp_path):
@@ -233,6 +242,8 @@ class TestMatrixMarketStream:
             ("%%MatrixMarket matrix coordinate real general\n2 2 1\n3 1 1\n", "outside"),
             ("%%MatrixMarket matrix coordinate real general\n2 2 1\n1 1 1\n2 2 1\n", "more than"),
             ("%%MatrixMarket matrix coordinate real wat\n1 1 1\n1 1 1\n", "symmetry"),
+            ("%%MatrixMarket matrix coordinate real general\n-2 3 1\n1 1\n", "negative"),
+            ("%%MatrixMarket matrix coordinate real symmetric\n3 2 1\n3 2\n", "square"),
         ],
     )
     def test_malformed_raises(self, tmp_path, text, match):
@@ -310,7 +321,7 @@ class TestPinBudget:
         path = tmp_path / "s.hgr"
         write_hmetis(hg, path)
         _assert_stream_matches(
-            stream_hmetis(path, chunk_size=64, pin_budget=100), read_hmetis(path)
+            stream_hmetis(path, chunk_size=64, pin_budget=100, name=hg.name), hg
         )
 
     def test_budgeted_matrix_market_assembles_identically(self, tmp_path):
@@ -394,12 +405,11 @@ def small_hypergraphs(draw):
 @settings(max_examples=40, deadline=None)
 @given(hg=small_hypergraphs(), chunk_size=st.integers(min_value=1, max_value=8))
 def test_stream_read_equivalence_property(hg, chunk_size, tmp_path_factory):
-    """Any hypergraph: write -> stream -> assemble == write -> read."""
+    """Any hypergraph: write -> stream -> assemble gives it back."""
     path = tmp_path_factory.mktemp("prop") / "h.hgr"
     write_hmetis(hg, path)
-    ref = read_hmetis(path)
     stream = stream_hmetis(path, chunk_size=chunk_size, buffer_pins=7)
-    assert assemble(stream) == ref
+    assert assemble(stream) == hg
 
 
 class TestByteSources:
@@ -420,7 +430,7 @@ class TestByteSources:
         path = tmp_path / "h.hgr"
         write_hmetis(tiny_hypergraph, path)
         raw = path.read_bytes()
-        ref = read_hmetis(path)
+        ref = tiny_hypergraph
         for label, source in self._sources(raw):
             got = assemble(stream_hmetis(source, chunk_size=2))
             assert got == ref, label
@@ -460,3 +470,118 @@ class TestByteSources:
     def test_rejects_unusable_source(self):
         with pytest.raises(TypeError, match="source must be"):
             stream_hmetis(12345)
+
+
+class TestInvalidTextAndWeights:
+    """Bytes that are not UTF-8 text and weights that are not finite
+    positive numbers are format errors, never a crash or a NaN cost."""
+
+    BAD_UTF8_HMETIS = b"1 2\n1 \xff2\n"
+    BAD_UTF8_MTX = (
+        b"%%MatrixMarket matrix coordinate pattern general\n1 1 1\n1 \xff1\n"
+    )
+
+    def test_hmetis_non_utf8(self, tmp_path):
+        with pytest.raises(HypergraphFormatError, match="<stream>: not valid UTF-8"):
+            stream_hmetis(self.BAD_UTF8_HMETIS)
+        path = tmp_path / "bad.hgr"
+        path.write_bytes(self.BAD_UTF8_HMETIS)
+        with pytest.raises(HypergraphFormatError, match=f"{path}: not valid UTF-8"):
+            read_hmetis(path)
+
+    def test_matrix_market_non_utf8(self, tmp_path):
+        with pytest.raises(HypergraphFormatError, match="<stream>: not valid UTF-8"):
+            stream_matrix_market(self.BAD_UTF8_MTX)
+        path = tmp_path / "bad.mtx"
+        path.write_bytes(self.BAD_UTF8_MTX)
+        with pytest.raises(HypergraphFormatError, match="not valid UTF-8"):
+            stream_matrix_market(path)
+
+    @pytest.mark.parametrize(
+        "text,label",
+        [
+            ("1 3 1\nnan 1 2\n", "edge_weights"),
+            ("1 3 1\ninf 1 2\n", "edge_weights"),
+            ("1 3 1\n-inf 1 2\n", "edge_weights"),
+            ("1 2 10\n1 2\nnan\n1\n", "vertex_weights"),
+            ("1 2 10\n1 2\n1\ninf\n", "vertex_weights"),
+        ],
+    )
+    def test_hmetis_non_finite_weights(self, tmp_path, text, label):
+        match = f"{label} must be finite and strictly positive"
+        with pytest.raises(HypergraphFormatError, match=match):
+            stream_hmetis(text.encode())
+        path = tmp_path / "w.hgr"
+        path.write_text(text)
+        with pytest.raises(HypergraphFormatError, match=match):
+            read_hmetis(path)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_hypergraph_rejects_non_finite_weights(self, bad):
+        with pytest.raises(ValueError, match="vertex_weights must be finite"):
+            Hypergraph(2, [[0, 1]], vertex_weights=[bad, 1.0])
+        with pytest.raises(ValueError, match="edge_weights must be finite"):
+            Hypergraph(2, [[0, 1]], edge_weights=[bad])
+
+
+class TestReaderFuzz:
+    """Every truncation and seeded byte replacements of a small valid
+    file either parse or raise :class:`HypergraphFormatError`.
+
+    Bytes are replaced, never inserted, and the files stay small: a
+    corrupted header can then never declare a vertex count large enough
+    to matter, since the readers allocate O(|V| + |E|) from the header.
+    """
+
+    # Two-digit header counts, so a replaced digit can make them negative.
+    HMETIS = (
+        b"10 12 11\n2 1 2 3\n1 3 4\n3 4 5 6\n1 1 6\n2 7 8\n1 8 9 10\n"
+        b"4 10 11\n1 11 12\n2 12 1\n1 5 9\n"
+        b"1\n2\n1\n3\n1\n2\n1\n1\n2\n1\n3\n1\n"
+    )
+    MTX = (
+        b"%%MatrixMarket matrix coordinate real symmetric\n"
+        b"% comment\n12 12 10\n1 1 1.0\n2 1 -2.5\n3 2 4\n4 4 1e-3\n"
+        b"5 3 7\n7 5 2\n9 8 1\n10 10 3\n12 11 5\n12 6 1\n"
+    )
+    ALPHABET = b"-+.0123456789 \n%e"
+    #: 20261028 found a negative row count and 20261048 a non-square
+    #: symmetric matrix, both crashing the MatrixMarket reader.
+    SEEDS = {"hmetis": (20261019,), "mtx": (20261028, 20261048)}
+    REPLACEMENTS = 300
+
+    def _truncations(self, raw):
+        for cut in range(len(raw)):
+            yield f"truncated at {cut}", raw[:cut]
+
+    def _replacements(self, raw, seed):
+        rng = np.random.default_rng(seed)
+        for i in range(self.REPLACEMENTS):
+            data = bytearray(raw)
+            for pos in rng.choice(len(raw), size=rng.integers(1, 4), replace=False):
+                # half the bytes from the formats' own alphabet
+                if rng.random() < 0.5:
+                    data[pos] = self.ALPHABET[rng.integers(len(self.ALPHABET))]
+                else:
+                    data[pos] = int(rng.integers(0, 256))
+            yield f"replacement {i} (seed {seed})", bytes(data)
+
+    @pytest.mark.parametrize(
+        "fmt,opener",
+        [("hmetis", stream_hmetis), ("mtx", stream_matrix_market)],
+    )
+    def test_every_case_parses_or_raises_format_error(self, fmt, opener):
+        raw = self.HMETIS if fmt == "hmetis" else self.MTX
+        with opener(raw) as stream:  # the seed file itself is valid
+            assert assemble(stream).num_pins > 0
+        cases = list(self._truncations(raw))
+        for seed in self.SEEDS[fmt]:
+            cases += self._replacements(raw, seed)
+        for label, data in cases:
+            try:
+                with opener(data, chunk_size=2, buffer_pins=3) as stream:
+                    assemble(stream)
+            except HypergraphFormatError:
+                pass
+            except Exception as exc:  # noqa: BLE001 — the fault under test
+                pytest.fail(f"{fmt} {label}: {data!r} raised {exc!r}")
