@@ -31,7 +31,10 @@ setup(
     package_dir={"": "src"},
     python_requires=">=3.10",
     install_requires=[
-        "numpy>=1.24",
+        # 1.25 brought the fast unbuffered ufunc.at that the dense state's
+        # block scatter (np.add.at) relies on; before it, add.at is slower
+        # than the sort-and-merge it replaced.
+        "numpy>=1.25",
         "scipy>=1.10",
     ],
     extras_require={

@@ -42,6 +42,7 @@ from repro.engine.blocks import (
     expansion_order,
     segment_gather_index,
     segment_reduce,
+    segment_row_sum,
     shard_ranges,
     shard_ranges_by_pins,
     stream_windows,
@@ -84,6 +85,7 @@ __all__ = [
     "expansion_order",
     "segment_gather_index",
     "segment_reduce",
+    "segment_row_sum",
     "shard_ranges",
     "shard_ranges_by_pins",
     "pass_kernel",

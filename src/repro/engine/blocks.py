@@ -31,6 +31,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
+from scipy.sparse import csr_array
 
 from repro.hypergraph.model import Hypergraph
 
@@ -42,6 +43,7 @@ __all__ = [
     "expansion_order",
     "segment_gather_index",
     "segment_reduce",
+    "segment_row_sum",
     "shard_ranges",
     "shard_ranges_by_pins",
 ]
@@ -77,6 +79,24 @@ def segment_reduce(ufunc, values: np.ndarray, ptr: np.ndarray, fill=0) -> np.nda
     if nonzero.any():
         out[nonzero] = ufunc.reduceat(values, ptr[:-1][nonzero], axis=0)
     return out
+
+
+def segment_row_sum(table: np.ndarray, index: np.ndarray, ptr: np.ndarray) -> np.ndarray:
+    """Row ``i`` sums ``table[index[ptr[i]:ptr[i+1]]]``, in ``table``'s dtype.
+
+    The same result as ``segment_reduce(np.add, table[index], ptr)``,
+    computed as the sparse incidence product ``csr(ones, index, ptr) @
+    table``: no ``len(index) x p`` copy of the gathered rows.  An empty
+    segment reads zero and a repeated index is summed once per
+    occurrence.  The ones carry ``table``'s dtype because a mixed-dtype
+    product converts the whole table first; integer sums are exact in
+    any order, so the result is bit-identical to the reduceat.
+    """
+    incidence = csr_array(
+        (np.ones(index.size, dtype=table.dtype), index, ptr),
+        shape=(ptr.size - 1, table.shape[0]),
+    )
+    return incidence @ table
 
 
 @dataclass(frozen=True)

@@ -201,7 +201,7 @@ def pass_kernel(
                     apply_balance_cap(
                         values, loads, w_v, cap, out=cap_mask, scratch=cap_scratch
                     )
-                j = int(np.argmax(values))
+                j = int(values.argmax())
                 state.place(edges, j, w_v)
                 assignment[v] = j
         return mode
@@ -235,7 +235,7 @@ def pass_kernel(
                 apply_balance_cap(
                     values, loads, weights[i], cap, out=cap_mask, scratch=cap_scratch
                 )
-            j = int(np.argmax(values))
+            j = int(values.argmax())
             new[i] = j
             if deferred:
                 loads[j] += weights[i]

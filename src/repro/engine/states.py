@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.engine.blocks import segment_reduce
+from repro.engine.blocks import segment_row_sum
 
 __all__ = ["DenseKernelState"]
 
@@ -112,23 +112,27 @@ class DenseKernelState:
     # block operations (the vectorised chunk path)
     # ------------------------------------------------------------------
     def gather_block(self, edges: np.ndarray, ptr: np.ndarray) -> np.ndarray:
-        """Stacked :meth:`gather` of a whole block (``m x p``), one reduceat.
+        """Stacked :meth:`gather` of a whole block (``m x p``).
 
         ``edges`` is the block's concatenated incident-edge array and
-        ``ptr`` its local CSR offsets (``m + 1`` entries).
+        ``ptr`` its local CSR offsets (``m + 1`` entries).  The sum is
+        one sparse incidence product (``csr(ones, edges, ptr) @
+        edge_counts``, :func:`~repro.engine.blocks.segment_row_sum`), in
+        the count matrix's dtype, so no count row is copied per pin.
         """
-        return segment_reduce(np.add, self.edge_counts[edges], ptr)
+        return segment_row_sum(self.edge_counts, edges, ptr)
 
     def _scatter(self, edges, ptr, parts, sign: int) -> None:
-        # unique() merges duplicate (edge, part) keys so one fancy-indexed
-        # add/subtract replaces a slow unbuffered ufunc.at scatter.
-        degs = np.diff(ptr)
-        keys = edges * self.num_parts + np.repeat(parts, degs)
-        uniq, cnt = np.unique(keys, return_counts=True)
-        if sign > 0:
-            self._flat[uniq] += cnt.astype(self.edge_counts.dtype)
-        else:
-            self._flat[uniq] -= cnt.astype(self.edge_counts.dtype)
+        """Add ``sign`` to the count of every (edge, part) pin of a block.
+
+        One unbuffered ``np.add.at`` over the flat keys, so a repeated
+        key adds once per occurrence.  The value carries the count
+        matrix's dtype: numpy's fast ``ufunc.at`` path (numpy >= 1.25)
+        is skipped for a Python int against HyperPRAW's int32 counts,
+        and the slow path is slower than sorting the keys.
+        """
+        keys = edges * self.num_parts + np.repeat(parts, np.diff(ptr))
+        np.add.at(self._flat, keys, self._flat.dtype.type(sign))
 
     def lift_block(
         self, edges: np.ndarray, ptr: np.ndarray, old: np.ndarray, weights: np.ndarray

@@ -41,14 +41,38 @@ from repro.service.errors import (
 )
 from repro.service.handlers import ServiceConfig, ServiceHandlers, resolve
 
-__all__ = ["PartitionService", "make_server", "serve"]
+__all__ = ["PartitionService", "READ_TIMEOUT_S", "make_server", "serve"]
 
 log = logging.getLogger("repro.service")
 
 #: Upload read granularity (bytes per block handed to the parser).
 _BODY_BLOCK = 1 << 16
 
+#: Seconds a request socket may stay silent before a read gives up, so
+#: a client that stalls mid-request cannot hold its handler thread
+#: forever.  A stalled request line or header ends the connection; a
+#: stalled body is a 400.
+READ_TIMEOUT_S = 30.0
+
 _HEX_DIGITS = frozenset(b"0123456789abcdefABCDEF")
+
+
+def _stall_checked(blocks, declared: "int | None"):
+    """``blocks``, with a read that outlasts :data:`READ_TIMEOUT_S` as a
+    400 naming how much of the body arrived (never a 500).  ``declared``
+    is the ``Content-Length``, ``None`` for a chunked body."""
+    received = 0
+    try:
+        for block in blocks:
+            received += len(block)
+            yield block
+    except TimeoutError:
+        raise BadRequest(
+            f"body stalled: received {received} bytes of a chunked body"
+            if declared is None
+            else f"body stalled: received {received} of the declared "
+            f"{declared} bytes"
+        ) from None
 
 
 class _RequestHandler(BaseHTTPRequestHandler):
@@ -65,6 +89,11 @@ class _RequestHandler(BaseHTTPRequestHandler):
     # ------------------------------------------------------------------
     # plumbing
     # ------------------------------------------------------------------
+    def setup(self) -> None:
+        # read per connection, not at class creation: tests shorten it
+        self.timeout = READ_TIMEOUT_S
+        super().setup()
+
     def log_message(self, fmt, *args):  # noqa: D102 — quiet by default
         log.debug("%s %s", self.address_string(), fmt % args)
 
@@ -105,7 +134,7 @@ class _RequestHandler(BaseHTTPRequestHandler):
         """
         te = (self.headers.get("Transfer-Encoding") or "").lower()
         if "chunked" in te:
-            return self._chunked_blocks()
+            return _stall_checked(self._chunked_blocks(), None)
         length = self.headers.get("Content-Length")
         if length is None:
             raise LengthRequired(
@@ -138,7 +167,7 @@ class _RequestHandler(BaseHTTPRequestHandler):
                 left -= len(block)
                 yield block
 
-        return blocks()
+        return _stall_checked(blocks(), remaining)
 
     def _chunked_blocks(self):
         cap = self.server.api.config.max_body_bytes

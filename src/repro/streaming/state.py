@@ -48,7 +48,7 @@ from repro.architecture.cost import (
     validate_cost_matrix,
 )
 from repro.core.metrics import table_comm_cost
-from repro.engine.blocks import segment_reduce
+from repro.engine.blocks import segment_row_sum
 
 __all__ = ["StreamingState", "resolve_cost_matrix"]
 
@@ -229,7 +229,7 @@ class StreamingState:
         uniq, inverse = np.unique(rows_all, return_inverse=True)
         slots = self._lookup(uniq, touch=True)
         per_edge = self._read(self._table.take(slots, axis=0))
-        return segment_reduce(np.add, per_edge[inverse], vertex_ptr)
+        return segment_row_sum(per_edge, inverse, vertex_ptr)
 
     def place(self, edges: np.ndarray, part: int, weight: float) -> None:
         """Record a (new or re-placed) pin of every ``edges`` on ``part``."""

@@ -21,7 +21,7 @@ import scipy.io
 import scipy.sparse as sp
 
 from repro.architecture.cost import uniform_cost_matrix
-from repro.core import HyperPRAW, HyperPRAWConfig
+from repro.core import HyperPRAW, HyperPRAWConfig, edge_partition_counts
 from repro.engine import (
     NUMBA_AVAILABLE,
     DenseKernelState,
@@ -36,6 +36,8 @@ from repro.engine import (
     move_back,
     pass_kernel,
     run_tasks,
+    segment_reduce,
+    segment_row_sum,
     shard_ranges,
     stream_windows,
 )
@@ -469,6 +471,121 @@ class TestDenseKernelState:
         counts = np.zeros((10, 4), dtype=np.int64)[:, ::2]
         with pytest.raises(ValueError, match="contiguous"):
             DenseKernelState(2, counts, np.zeros(2))
+
+
+def _random_block(rng, num_edges: int, m: int, *, repeat: bool):
+    """``(edges, ptr)`` of an ``m``-vertex block over random nets: past a
+    single vertex every third one has no nets, and with ``repeat`` the
+    last vertex with nets holds one of them twice."""
+    degs = rng.integers(2, 7, size=m)
+    if m > 1:
+        degs[::3] = 0
+    ptr = np.zeros(m + 1, dtype=np.int64)
+    np.cumsum(degs, out=ptr[1:])
+    edges = np.concatenate(
+        [np.empty(0, np.int64)]
+        + [rng.choice(num_edges, size=d, replace=False) for d in degs]
+    )
+    if repeat:
+        i = int(np.flatnonzero(degs)[-1])
+        edges[ptr[i + 1] - 1] = edges[ptr[i]]
+    return edges, ptr
+
+
+def _dense_state(instance, dtype, p: int = 5) -> DenseKernelState:
+    """HyperPRAW's int32 round-robin state, or a place-only int64 one."""
+    rng = np.random.default_rng(7)
+    assignment = rng.integers(p, size=instance.num_vertices)
+    if dtype == np.int32:
+        state = DenseKernelState(
+            p,
+            edge_partition_counts(instance, assignment, p),
+            np.zeros(p, dtype=np.float64),
+        )
+    else:
+        state = DenseKernelState.empty(instance.num_edges, p)
+        for v in range(instance.num_vertices):
+            state.place(instance.edges_of(v), int(assignment[v]), 1.0)
+    assert state.edge_counts.dtype == dtype
+    return state
+
+
+def _unique_scatter(state: DenseKernelState, edges, ptr, parts, sign: int) -> None:
+    """The sort-and-merge scatter that ``DenseKernelState._scatter`` replaced."""
+    keys = edges * state.num_parts + np.repeat(parts, np.diff(ptr))
+    uniq, cnt = np.unique(keys, return_counts=True)
+    state.edge_counts.reshape(-1)[uniq] += sign * cnt.astype(state.edge_counts.dtype)
+
+
+class TestDenseBlockPath:
+    """The incidence-product sum and the ``ufunc.at`` scatter against
+    the reduceat, per-vertex and sort-based forms they replaced."""
+
+    DTYPES = [np.int32, np.int64]
+    SIZES = [1, 2, 40]
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("m", SIZES)
+    @pytest.mark.parametrize("repeat", [False, True])
+    def test_segment_row_sum_matches_reduceat(self, dtype, m, repeat):
+        rng = np.random.default_rng(m)
+        table = rng.integers(0, 9, size=(30, 4)).astype(dtype)
+        index, ptr = _random_block(rng, 30, m, repeat=repeat)
+        got = segment_row_sum(table, index, ptr)
+        want = segment_reduce(np.add, table[index], ptr)
+        assert got.dtype == want.dtype == dtype
+        assert np.array_equal(got, want)
+        assert not got[np.diff(ptr) == 0].any()
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("m", SIZES)
+    def test_gather_block_rows_match_gather(self, instance, dtype, m):
+        state = _dense_state(instance, dtype)
+        rng = np.random.default_rng(m)
+        edges, ptr = _random_block(rng, instance.num_edges, m, repeat=True)
+        X = state.gather_block(edges, ptr)
+        assert X.dtype == dtype
+        for i in range(m):
+            want = state.gather(edges[ptr[i] : ptr[i + 1]])
+            assert np.array_equal(X[i].astype(np.float64), want)
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("m", SIZES)
+    def test_block_scatter_matches_vertex_ops(self, instance, dtype, m):
+        """Distinct nets per vertex, as every real block has them: the
+        per-vertex fancy-index update applies each net once."""
+        a, b = _dense_state(instance, dtype), _dense_state(instance, dtype)
+        rng = np.random.default_rng(m)
+        edges, ptr = _random_block(rng, instance.num_edges, m, repeat=False)
+        old = rng.integers(a.num_parts, size=m)
+        new = rng.integers(a.num_parts, size=m)
+        weights = rng.integers(1, 4, size=m).astype(np.float64)
+        for i in range(m):  # the block sits on ``old`` first
+            a.place(edges[ptr[i] : ptr[i + 1]], int(old[i]), weights[i])
+            b.place(edges[ptr[i] : ptr[i + 1]], int(old[i]), weights[i])
+        a.lift_block(edges, ptr, old, weights)
+        a.insert_block(edges, ptr, new)
+        a.loads += np.bincount(new, weights=weights, minlength=a.num_parts)
+        for i in range(m):
+            b.remove(edges[ptr[i] : ptr[i + 1]], int(old[i]), weights[i])
+            b.place(edges[ptr[i] : ptr[i + 1]], int(new[i]), weights[i])
+        assert np.array_equal(a.edge_counts, b.edge_counts)
+        assert np.array_equal(a.loads, b.loads)
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("m", SIZES)
+    def test_block_scatter_matches_unique_scatter(self, instance, dtype, m):
+        a, b = _dense_state(instance, dtype), _dense_state(instance, dtype)
+        rng = np.random.default_rng(m)
+        edges, ptr = _random_block(rng, instance.num_edges, m, repeat=True)
+        old = rng.integers(a.num_parts, size=m)
+        new = rng.integers(a.num_parts, size=m)
+        a.lift_block(edges, ptr, old, np.ones(m))
+        a.insert_block(edges, ptr, new)
+        _unique_scatter(b, edges, ptr, old, -1)
+        _unique_scatter(b, edges, ptr, new, +1)
+        assert a.edge_counts.dtype == dtype
+        assert np.array_equal(a.edge_counts, b.edge_counts)
 
 
 class TestKernel:

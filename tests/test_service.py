@@ -22,6 +22,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import repro.service.app as app_mod
 import repro.service.handlers as handlers_mod
 from repro.hypergraph.io import write_hmetis
 from repro.hypergraph.model import Hypergraph
@@ -396,6 +397,45 @@ class TestUploadFraming:
         head, _, payload = resp.partition(b"\r\n\r\n")
         assert int(head.split()[1]) == 200, resp
         assert json.loads(payload)["status"] == "done"
+
+    def test_stalled_body_released_at_read_timeout(
+        self, capped, tiny_hgr, monkeypatch
+    ):
+        """A client that declares a body, sends part and goes silent gets
+        a 400 once the read timeout passes, and frees its handler thread."""
+        monkeypatch.setattr(app_mod, "READ_TIMEOUT_S", 0.3)
+
+        def handler_threads():
+            return {
+                t
+                for t in threading.enumerate()
+                if t.name.endswith("(process_request_thread)")
+            }
+
+        before = handler_threads()
+        started = time.monotonic()
+        with socket.create_connection(("127.0.0.1", capped.port), timeout=10) as s:
+            s.sendall(
+                b"POST /v1/stores HTTP/1.0\r\nContent-Length: 100\r\n\r\n"
+                + self.BODY[:4]
+            )
+            resp = b""
+            while chunk := s.recv(4096):
+                resp += chunk
+        assert time.monotonic() - started < 1.0
+        head, _, payload = resp.partition(b"\r\n\r\n")
+        assert int(head.split()[1]) == 400, resp
+        assert json.loads(payload)["error"]["message"].startswith(
+            "body stalled: received"
+        )
+        deadline = time.monotonic() + 1.0
+        while handler_threads() - before and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert not handler_threads() - before
+
+        status, store = _request(f"{capped.url}/v1/stores", data=tiny_hgr)
+        assert status in (200, 201), store
+        assert store["digest"]
 
 
 # ----------------------------------------------------------------------
