@@ -234,39 +234,59 @@ def partitioning_comm_cost(
     ``T_i(v) = sum_j X_j(v) * C(i, j)``.  Since ``C(i, i) = 0``, a vertex's
     neighbours in its own partition contribute nothing, so the metric
     aggregates the *costed* volume of cross-partition communication.
+
+    Summed per hyperedge instead of per vertex, each net ``e`` with
+    per-partition pin counts ``c_e`` contributes ``w_e c_e^T C c_e``, so
+    the price is :func:`table_comm_cost` over the ``(E x p)`` count table
+    (``counts``, computed from ``assignment`` when not given).
     """
     assignment = _check_assignment(hg, assignment, num_parts)
     cost_matrix = check_square_matrix("cost_matrix", cost_matrix, num_parts)
-    X = vertex_neighbour_counts(
-        hg,
-        assignment,
-        num_parts,
-        counts=counts,
-        exclude_self=False,  # the zero cost diagonal already removes self terms
-        use_edge_weights=use_edge_weights,
+    if counts is None:
+        counts = edge_partition_counts(hg, assignment, num_parts)
+    return table_comm_cost(
+        counts, cost_matrix, edge_weights=hg.edge_weights if use_edge_weights else None
     )
-    return float(np.einsum("vp,vp->", X, cost_matrix[assignment]))
+
+
+#: Multiply-adds per matrix product in :func:`table_comm_cost`.  Rows are
+#: priced in blocks of ``_COST_MACS // p**2`` (455 at p=24), which bounds
+#: the float temporaries whatever the table's size and keeps each product
+#: on one thread: OpenBLAS, numpy's wheel BLAS, threads a product above
+#: 2^18 multiply-adds, and with every core busy (forked sharded workers)
+#: a threaded product's threads wait on each other: a 16,000 x 48 table
+#: in 512-row blocks took 5-286 ms per call, in 113-row blocks 4-5 ms.
+_COST_MACS = 1 << 18
 
 
 def table_comm_cost(
     counts: np.ndarray,
     cost_matrix: np.ndarray,
-    edges: np.ndarray,
+    edges: "np.ndarray | None" = None,
     edge_weights: "np.ndarray | None" = None,
 ) -> float:
-    """``sum_e w_e c_e^T C c_e`` over presence-table rows.
+    """``sum_e w_e c_e^T C c_e`` over count-table rows (Eq. 5 per net).
 
     ``counts[i]`` holds the per-partition pin counts of hyperedge
-    ``edges[i]``; ``edge_weights`` (indexed by edge id) scales each row.
-    This is the streaming states' and the sharded driver's PC-cost
-    figure: exact when the rows cover every net.
+    ``edges[i]`` (of hyperedge ``i`` when ``edges`` is ``None``);
+    ``edge_weights`` (indexed by edge id) scales each row.  Over the
+    whole ``(E x p)`` table this is :func:`partitioning_comm_cost`; over
+    a presence table it is the streaming states' and the sharded
+    driver's PC-cost figure, exact when the rows cover every net.
+
+    Each block of rows is priced as the row sums of ``(c @ C) * c``,
+    and the per-net prices are summed once at the end, so the blocking
+    does not change the order of that sum.
     """
     if counts.shape[0] == 0:
         return 0.0
-    c = counts.astype(np.float64)
-    per_edge = np.einsum("ep,pq,eq->e", c, cost_matrix, c)
+    rows = max(1, _COST_MACS // counts.shape[1] ** 2)
+    per_edge = np.empty(counts.shape[0], dtype=np.float64)
+    for lo in range(0, counts.shape[0], rows):
+        c = counts[lo : lo + rows].astype(np.float64)
+        np.einsum("ep,ep->e", c @ cost_matrix, c, out=per_edge[lo : lo + c.shape[0]])
     if edge_weights is not None:
-        per_edge = per_edge * edge_weights[edges]
+        per_edge *= edge_weights if edges is None else edge_weights[edges]
     return float(per_edge.sum())
 
 

@@ -20,7 +20,15 @@ the single remaining implementation; the variation lives in its inputs:
   hot path, at the price of intra-block staleness in the neighbour
   term — the load penalty always tracks live loads).  Both modes
   support both ``restream`` settings: chunk-mode restreaming lifts the
-  whole block out in one batch (``lift_block``) before the matmul;
+  whole block out in one batch (``lift_block``) before the matmul.
+  Chunk mode then chooses the block's parts in rounds: it guesses up to
+  :data:`CHOICE_WINDOW` vertices against the loads as they stand,
+  re-scores each guess against the loads the earlier guesses imply
+  (one ``cumsum``), and keeps the guesses up to and including the first
+  one the re-score changes.  That one is exact too: the loads it was
+  re-scored against are the ones its kept predecessors leave.  Each
+  row gets the same elementwise float operations on the same loads as
+  a vertex-at-a-time loop, so the parts are the same bit for bit;
 * **cap** — optional FENNEL-style hard balance cap;
 * **kernel** — ``"python"`` (the reference loop below), ``"njit"`` (the
   optional compiled twin for dense-state vertex scoring — see
@@ -31,9 +39,9 @@ The per-vertex floating-point operation order is preserved from the
 historical loops, so refactored partitioners reproduce their previous
 assignments bit for bit (pinned by golden-hash tests), and the compiled
 kernel reproduces the python path op for op.  Per-pass scratch arrays
-(``values``, the chunk placement buffer, the balance-cap mask and the
-gather buffer) are allocated once per call and reused across every
-vertex and block.
+(``values``, the chunk placement buffer, the choice rounds' value,
+implied-load and balance-cap rows, and the gather buffer) are allocated
+once per call and reused across every vertex and block.
 """
 
 from __future__ import annotations
@@ -43,6 +51,11 @@ import numpy as np
 from repro.engine.njit_kernel import resolve_kernel, run_njit_block
 
 __all__ = ["pass_kernel", "check_knobs", "apply_balance_cap", "move_back"]
+
+#: Vertices one chunk-mode choice round guesses ahead.  On ``paper-aware``
+#: (p=24, 1,024-vertex blocks) a round keeps ~34 of 64 guesses; a window
+#: of 32 keeps ~25 and 128 keeps ~37, for more work per round.
+CHOICE_WINDOW = 64
 
 
 def check_knobs(
@@ -67,39 +80,41 @@ def check_knobs(
 def apply_balance_cap(
     values: np.ndarray,
     loads: np.ndarray,
-    weight: float,
+    weight,
     cap: float,
     out: "np.ndarray | None" = None,
     scratch: "np.ndarray | None" = None,
 ) -> None:
     """Mask partitions the hard balance cap forbids (in place).
 
-    Sets ``values[j] = -inf`` wherever placing a vertex of ``weight``
-    would push ``loads[j]`` over ``cap``; when *every* partition is over
-    cap, only the emptiest survives (a stream must always be able to
-    place).
+    ``values`` is one vertex's length-``p`` row with its ``weight``, or
+    one row per vertex (``n x p``) with a column of weights (``n x 1``);
+    ``loads`` is one length-``p`` vector shared by every row, or one row
+    of loads per value row.  In each row, sets ``values[j] = -inf``
+    wherever placing the vertex would push ``loads[j]`` over ``cap``;
+    when *every* partition of a row is over cap, only that row's
+    emptiest survives (a stream must always be able to place).
 
-    ``out`` (length-``p`` bool) and ``scratch`` (length-``p`` float64)
+    ``out`` (bool) and ``scratch`` (float64), shaped like ``values``,
     are optional preallocated work arrays; passing both makes the call
     allocation-free on the hot path.  The masked result is identical
     either way — the buffers change where the intermediates live, not
     the float comparisons (``loads + weight > cap``, never the
-    rearranged ``loads > cap - weight``).
+    rearranged ``loads > cap - weight``).  A single row skips the
+    per-row reductions: vertex mode calls this once per vertex.
     """
-    if out is None:
-        full = loads + weight > cap
-    else:
-        summed = loads + weight if scratch is None else np.add(
-            loads, weight, out=scratch
-        )
-        full = np.greater(summed, cap, out=out)
-    if full.all():
-        # Everything is over cap (tiny p or huge vertex): fall back to
-        # the emptiest partition rather than dead-ending.
-        if out is None:
-            full = loads != loads.min()
-        else:
+    summed = np.add(loads, weight, out=scratch)
+    full = np.greater(summed, cap, out=out)
+    # Everything over cap (tiny p or huge vertex): fall back to the
+    # emptiest partition rather than dead-ending.
+    if full.ndim == 1:
+        if full.all():
             full = np.not_equal(loads, loads.min(), out=out)
+    else:
+        stuck = full.all(axis=1)
+        if stuck.any():
+            rows = np.broadcast_to(loads, full.shape)[stuck]
+            full[stuck] = rows != rows.min(axis=1, keepdims=True)
     values[full] = -np.inf
 
 
@@ -138,7 +153,10 @@ def pass_kernel(
         restreaming); ``False`` scores first-time arrivals.
     score_mode:
         ``"vertex"`` (exact, live state) or ``"chunk"`` (one matmul per
-        block against the block-start state — the vectorised hot path).
+        block against the block-start state, parts chosen in guess and
+        re-score rounds against the live loads — the vectorised hot
+        path).  A scorer reading live state besides the loads declares
+        ``choice_window = 1`` and gets one vertex per round.
     cap:
         optional hard balance cap passed to :func:`apply_balance_cap`.
     kernel:
@@ -160,9 +178,6 @@ def pass_kernel(
     mode = resolve_kernel(kernel, state, scorer, score_mode)
     loads = state.loads
     p = state.num_parts
-    values = np.empty(p, dtype=np.float64)
-    cap_mask = np.empty(p, dtype=bool) if cap is not None else None
-    cap_scratch = np.empty(p, dtype=np.float64) if cap is not None else None
 
     if mode == "njit":
         for block in blocks:
@@ -170,6 +185,9 @@ def pass_kernel(
         return mode
 
     if score_mode == "vertex":
+        values = np.empty(p, dtype=np.float64)
+        cap_mask = np.empty(p, dtype=bool) if cap is not None else None
+        cap_scratch = np.empty(p, dtype=np.float64) if cap is not None else None
         # States advertising gather(out=) get a reused length-p buffer;
         # the bounded LRU table builds its rows itself.
         gather_out = (
@@ -208,10 +226,27 @@ def pass_kernel(
 
     # ------------------------------------------------------------------
     # chunk mode: neighbour terms frozen at block start, one matmul per
-    # block; loads (and, for non-deferred states, the presence table)
-    # update live per placement.
+    # block; each vertex is chosen against the loads (and, for
+    # non-deferred states, the presence table) its predecessors left.
     # ------------------------------------------------------------------
     deferred = getattr(state, "place_deferred", False)
+    window = getattr(scorer, "choice_window", CHOICE_WINDOW)
+    rows = np.empty((window, p), dtype=np.float64)
+    implied = np.empty((window, p), dtype=np.float64)
+    later = np.arange(1, window)
+    row_mask = np.empty((window, p), dtype=bool) if cap is not None else None
+    row_sums = np.empty((window, p), dtype=np.float64) if cap is not None else None
+
+    def choose(terms, row_loads, w, n):
+        """Argmax of each of ``n`` rows scored against ``row_loads``."""
+        vals = rows[:n]
+        scorer.block_values(terms, row_loads, vals)
+        if cap is not None:
+            apply_balance_cap(
+                vals, row_loads, w[:, None], cap, out=row_mask[:n], scratch=row_sums[:n]
+            )
+        return vals.argmax(axis=1)
+
     new_buf = np.empty(0, dtype=np.int64)
     for block in blocks:
         ids = block.ids
@@ -229,18 +264,38 @@ def pass_kernel(
         if new_buf.size < m:
             new_buf = np.empty(m, dtype=np.int64)
         new = new_buf[:m]
-        for i in range(m):
-            scorer.chunk_values(terms[i], loads, values)
-            if cap is not None:
-                apply_balance_cap(
-                    values, loads, weights[i], cap, out=cap_mask, scratch=cap_scratch
-                )
-            j = int(values.argmax())
-            new[i] = j
+        pos = 0
+        while pos < m:
+            # One round: guess the next n vertices against the loads as
+            # they stand, then re-score row i against the loads guesses
+            # 0..i-1 imply (a cumsum, so each column is the same chain of
+            # += a per-vertex loop would run).  Rows up to and including
+            # the first disagreement are exact; keep them, place them,
+            # and start the next round after them.
+            n = min(window, m - pos)
+            t = terms[pos : pos + n]
+            w = weights[pos : pos + n]
+            choice = choose(t, loads, w, n)
+            k = 1
+            if n > 1:
+                steps = implied[:n]
+                steps[0] = loads
+                steps[1:] = 0.0
+                steps[later[: n - 1], choice[:-1]] = w[:-1]
+                np.cumsum(steps, axis=0, out=steps)
+                verified = choose(t, steps, w, n)
+                wrong = np.flatnonzero(verified != choice)
+                k = int(wrong[0]) + 1 if wrong.size else n
+                choice = verified
+            new[pos : pos + k] = choice[:k]
             if deferred:
-                loads[j] += weights[i]
+                if n > 1:
+                    loads[:] = steps[k - 1]
+                loads[choice[k - 1]] += w[k - 1]
             else:
-                state.place(edges_all[ptr[i] : ptr[i + 1]], j, weights[i])
+                for i in range(pos, pos + k):
+                    state.place(edges_all[ptr[i] : ptr[i + 1]], int(new[i]), weights[i])
+            pos += k
         if deferred:
             state.insert_block(edges_all, ptr, new)
         assignment[ids] = new

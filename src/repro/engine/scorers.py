@@ -27,9 +27,18 @@ Each scorer exposes the same three entry points:
 ``block_terms(X_block)``
     the per-block, state-independent part of the score for a whole block
     at once (one matmul for HyperPRAW) — the vectorised hot path;
-``chunk_values(terms_i, loads, out)``
-    finish one vertex of a block: combine its precomputed term row with
-    the *live* load penalty.
+``block_values(terms, loads, out)``
+    finish rows of a block: combine their precomputed term rows with the
+    load penalty of ``loads`` — one length-``p`` vector shared by every
+    row, or one row of loads per term row.  The kernel's choice loop
+    (:func:`~repro.engine.kernel.pass_kernel`) calls it on a window of
+    rows at a time, and each row gets the same elementwise float
+    operations a lone vertex would.
+
+A scorer that reads live state besides ``loads`` (min-max's
+connectivity, which every ``place`` moves) declares ``choice_window =
+1``: the kernel then chooses one vertex per round and places it before
+scoring the next.
 
 The floating-point operation order of ``vertex_values`` deliberately
 mirrors the historical inlined loops (``HyperPRAW._stream_pass`` and
@@ -102,7 +111,7 @@ class HyperPRAWScorer:
 
         ``X`` stacks a whole block's neighbour counts (``m x p``);
         returns the ``m x p`` state-independent part of Eq. 1 (one
-        matmul), to be combined per vertex by :meth:`chunk_values`.
+        matmul), to be combined with loads by :meth:`block_values`.
         """
         # Lazy: repro.core's package init imports this package back.
         from repro.core.value import block_value_terms
@@ -112,10 +121,10 @@ class HyperPRAWScorer:
         )
         return T * (-(n_neigh / self.num_parts))[:, None]
 
-    def chunk_values(
+    def block_values(
         self, terms: np.ndarray, loads: np.ndarray, out: np.ndarray
     ) -> None:
-        """Finish one block vertex: precomputed term row + live load penalty."""
+        """Finish block rows: precomputed term rows minus the load penalty."""
         np.multiply(self._alpha_inv_expected, loads, out=out)
         np.subtract(terms, out, out=out)
 
@@ -159,10 +168,10 @@ class FennelScorer:
         """FENNEL's block term is the neighbour counts themselves (``m x p``)."""
         return np.asarray(X, dtype=np.float64)
 
-    def chunk_values(
+    def block_values(
         self, terms: np.ndarray, loads: np.ndarray, out: np.ndarray
     ) -> None:
-        """Finish one block vertex: neighbour-count row minus live penalty."""
+        """Finish block rows: neighbour-count rows minus the load penalty."""
         np.subtract(terms, self._penalty(loads), out=out)
 
 
@@ -213,11 +222,11 @@ class HypeScorer:
         lam = self.expansion_penalty
         return (1.0 + lam) * X - lam * X.sum(axis=1, keepdims=True)
 
-    def chunk_values(
+    def block_values(
         self, terms: np.ndarray, loads: np.ndarray, out: np.ndarray
     ) -> None:
-        """No live load term — the hard cap is the balance mechanism."""
-        out[:] = terms
+        """No load term — the hard cap is the balance mechanism."""
+        np.copyto(out, terms)
 
 
 class MinMaxScorer:
@@ -238,6 +247,10 @@ class MinMaxScorer:
     The arrays are shared by reference, so the scorer always sees the
     state's current connectivity without a callback protocol.
 
+    The connectivity moves with every placement, so the scorer declares
+    ``choice_window = 1``: the kernel places each block vertex before it
+    scores the next.
+
     Parameters
     ----------
     connectivity:
@@ -249,6 +262,9 @@ class MinMaxScorer:
         weight of the load tie-break; small enough that connectivity
         always dominates (default ``1e-3``).
     """
+
+    #: one vertex per choice round (see the module docstring)
+    choice_window = 1
 
     def __init__(
         self,
@@ -276,10 +292,10 @@ class MinMaxScorer:
         """Presence counts frozen at block start (``m x p``)."""
         return np.asarray(X, dtype=np.float64)
 
-    def chunk_values(
+    def block_values(
         self, terms: np.ndarray, loads: np.ndarray, out: np.ndarray
     ) -> None:
-        """Finish one block vertex against live connectivity and loads."""
+        """Finish block rows against the live connectivity and ``loads``."""
         np.multiply(loads, self._inv_expected, out=out)
         out *= -self.tie_penalty
         out -= self._conn

@@ -156,7 +156,10 @@ class _RequestHandler(BaseHTTPRequestHandler):
         def blocks():
             left = remaining
             while left > 0:
-                block = self.rfile.read(min(_BODY_BLOCK, left))
+                # read1 hands over whatever has arrived, so a read that
+                # then times out has already yielded (and counted) every
+                # byte received; read(n) would drop its partial block.
+                block = self.rfile.read1(min(_BODY_BLOCK, left))
                 if not block:
                     # A silently-truncated body must never be stored and
                     # partitioned as if complete.

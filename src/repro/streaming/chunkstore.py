@@ -349,7 +349,7 @@ class ChunkStoreStream(ChunkStream):
                 self._check_section(
                     meta["edge_ids"], _INT, declared, f"chunk {c} edge_ids"
                 )
-            self._mm: "np.memmap | None" = None
+            self._mm: "np.ndarray | None" = None
             self._mm_pid: "int | None" = None
             self.vertex_weights = self._section(
                 manifest["vertex_weights"], _FLOAT
@@ -383,10 +383,18 @@ class ChunkStoreStream(ChunkStream):
             )
 
     # ------------------------------------------------------------------
-    def _data(self) -> np.memmap:
-        """The process-local read-only map of the data file."""
+    def _data(self) -> np.ndarray:
+        """The process-local read-only map of the data file.
+
+        A plain ``ndarray`` view of the ``np.memmap`` (same bytes, no
+        copy; the view keeps the map open): slicing a ``memmap`` runs
+        its Python-level ``__array_finalize__``, about 4x the cost of a
+        plain slice, and the vertex-mode kernel slices once per vertex.
+        """
         if self._mm is None or self._mm_pid != os.getpid():
-            self._mm = np.memmap(self._data_path, dtype=np.uint8, mode="r")
+            self._mm = np.memmap(self._data_path, dtype=np.uint8, mode="r").view(
+                np.ndarray
+            )
             self._mm_pid = os.getpid()
         return self._mm
 

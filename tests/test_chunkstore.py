@@ -111,6 +111,21 @@ class TestRoundTrip:
         second = [c.vertex_edges.tolist() for c in stream]
         assert first == second
 
+    def test_replayed_blocks_are_plain_views_of_the_map(self, corpus):
+        """Every replayed array is a base-class ``ndarray`` (no ``memmap``
+        slicing cost per vertex) that shares the map's bytes: no copy."""
+        _, store = corpus
+        stream = open_store(store)
+        data = stream._data()
+        arrays = [stream.vertex_weights, stream.edge_weights]
+        for block in stream:
+            arrays += [block.vertex_ptr, block.vertex_edges, block.vertex_weights]
+        for array in arrays:
+            assert type(array) is np.ndarray
+            assert not array.flags.owndata
+            assert np.shares_memory(array, data)
+        assert isinstance(data.base, np.memmap)
+
 
 class TestPartitionerEquality:
     """Store replay is byte-identical to the text path (golden-hash style)."""

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from test_invariants import FAMILIES, _instance
 
+from repro.core import metrics
 from repro.core.metrics import (
     connectivity_minus_one,
     cut_from_counts,
@@ -139,3 +140,49 @@ def test_count_tables_with_empty_nets():
         oracle_pair_cost(rows, C, w)
     )
     assert table_comm_cost(rows[:0], C, edges[:0]) == 0.0
+
+
+def test_table_cost_across_row_blocks(monkeypatch):
+    """Weighted rows of an edge subset priced in one block and in 186
+    blocks of 7 rows: both match the brute-force sum."""
+    rng = np.random.default_rng(23)
+    rows = rng.integers(0, 4, (1300, P))
+    edges = rng.permutation(2000)[:1300]
+    by_id = rng.uniform(0.5, 3.0, 2000)
+    C = rng.uniform(0.0, 3.0, (P, P))
+    want = oracle_pair_cost(rows, C, by_id[edges])
+    whole = table_comm_cost(rows, C, edges, by_id)
+    assert whole == pytest.approx(want, rel=1e-12)
+    monkeypatch.setattr(metrics, "_COST_MACS", 7 * P * P)
+    blocked = table_comm_cost(rows, C, edges, by_id)
+    assert blocked == pytest.approx(want, rel=1e-12)
+    assert blocked == pytest.approx(whole, rel=1e-14)
+
+
+@pytest.mark.parametrize("use_w", [True, False])
+def test_pc_cost_from_counts_across_row_blocks(use_w, monkeypatch):
+    """``partitioning_comm_cost`` over 1,100 nets priced in 64-row
+    blocks, with and without a count table handed in, equals the vertex
+    oracle and the table price."""
+    monkeypatch.setattr(metrics, "_COST_MACS", 64 * P * P)
+    rng = np.random.default_rng(29)
+    num_vertices, num_edges = 400, 1100
+    sizes = rng.integers(1, 6, num_edges)
+    pins = np.concatenate(
+        [rng.choice(num_vertices, s, replace=False) for s in sizes]
+    )
+    hg = Hypergraph.from_csr_arrays(
+        num_vertices, np.concatenate(([0], np.cumsum(sizes))), pins
+    ).with_weights(edge_weights=rng.uniform(0.5, 3.0, num_edges))
+    a = rng.integers(0, P, num_vertices)
+    C = rng.uniform(1.0, 4.0, (P, P))
+    np.fill_diagonal(C, 0.0)
+    w = hg.edge_weights if use_w else np.ones(num_edges)
+    counts = edge_partition_counts(hg, a, P)
+    want = oracle_pc_cost(hg, a, C, w)
+    table = table_comm_cost(counts, C, None, w if use_w else None)
+    assert table == pytest.approx(want, rel=1e-12)
+    for given in (None, counts):
+        assert partitioning_comm_cost(
+            hg, a, P, C, counts=given, use_edge_weights=use_w
+        ) == table

@@ -437,6 +437,24 @@ class TestUploadFraming:
         assert status in (200, 201), store
         assert store["digest"]
 
+    def test_stalled_body_counts_every_byte_received(self, capped, monkeypatch):
+        """The stall message counts the bytes that arrived, including a
+        partial block the parser never saw."""
+        monkeypatch.setattr(app_mod, "READ_TIMEOUT_S", 0.3)
+        with socket.create_connection(("127.0.0.1", capped.port), timeout=10) as s:
+            s.sendall(
+                b"POST /v1/stores HTTP/1.0\r\nContent-Length: 100\r\n\r\n"
+                + self.BODY[:4]
+            )
+            resp = b""
+            while chunk := s.recv(4096):
+                resp += chunk
+        head, _, payload = resp.partition(b"\r\n\r\n")
+        assert int(head.split()[1]) == 400, resp
+        assert json.loads(payload)["error"]["message"] == (
+            "body stalled: received 4 of the declared 100 bytes"
+        )
+
 
 # ----------------------------------------------------------------------
 # digest reuse: the store is hit, the parser is not
