@@ -24,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass, asdict
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.hypergraph.model import Hypergraph
 from repro.utils.validation import check_square_matrix
@@ -38,7 +37,6 @@ __all__ = [
     "cut_from_counts",
     "soed",
     "connectivity_minus_one",
-    "vertex_neighbour_counts",
     "partitioning_comm_cost",
     "table_comm_cost",
     "PartitionQuality",
@@ -171,52 +169,6 @@ def connectivity_minus_one(
     if use_edge_weights:
         lam *= hg.edge_weights
     return float(lam.sum())
-
-
-def vertex_neighbour_counts(
-    hg: Hypergraph,
-    assignment: np.ndarray,
-    num_parts: int,
-    *,
-    counts: "np.ndarray | None" = None,
-    exclude_self: bool = True,
-    use_edge_weights: bool = False,
-) -> np.ndarray:
-    """``X[v, j]`` = neighbours of ``v`` in partition ``j`` (Eq. 2/4's X).
-
-    Neighbours are counted with multiplicity over shared hyperedges, which
-    is exactly what the streaming value function sees.  ``exclude_self``
-    removes ``v``'s own pin from each incident hyperedge's count.
-    ``use_edge_weights`` scales each hyperedge's contribution by its
-    weight (the paper's proposed extension for asymmetric traffic).
-    """
-    assignment = _check_assignment(hg, assignment, num_parts)
-    if counts is None:
-        counts = edge_partition_counts(hg, assignment, num_parts)
-    # Vertex->edge incidence as a CSR matrix (V x E) directly from the
-    # stored incidence arrays; data weights each incident edge.
-    data = (
-        hg.edge_weights[hg.vertex_edges]
-        if use_edge_weights
-        else np.ones(hg.vertex_edges.size, dtype=np.float64)
-    )
-    inc = sp.csr_array(
-        (data, hg.vertex_edges.astype(np.int32), hg.vertex_ptr),
-        shape=(hg.num_vertices, hg.num_edges),
-    )
-    X = inc @ counts.astype(np.float64)
-    if exclude_self:
-        # (Weighted) degree of each vertex: scatter-add the per-incidence
-        # data onto vertices.  reduceat would mis-handle trailing isolated
-        # vertices (segment start == array end), so accumulate explicitly.
-        degrees = np.zeros(hg.num_vertices)
-        if hg.vertex_edges.size:
-            owner = np.repeat(
-                np.arange(hg.num_vertices, dtype=np.int64), np.diff(hg.vertex_ptr)
-            )
-            np.add.at(degrees, owner, data)
-        X[np.arange(hg.num_vertices), assignment] -= degrees
-    return X
 
 
 def partitioning_comm_cost(

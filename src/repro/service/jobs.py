@@ -21,9 +21,10 @@ Lifecycle::
     queued ──► running ──► done
                    └─────► failed
 
-Jobs are kept in memory for the lifetime of the service (the hypergraph
-bytes themselves live in the on-disk chunk store, keyed by digest — see
-:mod:`repro.service.handlers`); ``sync`` requests execute the same job
+Jobs are kept in memory (the hypergraph bytes themselves live in the
+on-disk chunk store, keyed by digest — see :mod:`repro.service.handlers`):
+every queued and running job, and the :data:`MAX_FINISHED_JOBS` most
+recently finished ones; ``sync`` requests execute the same job
 function through the same pool on the request thread and return the
 finished record.  ``on_complete`` callbacks always run in the *parent*
 process — that is where the service's stats and store pins live.
@@ -35,6 +36,7 @@ import queue
 import threading
 import time
 import uuid
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,6 +50,7 @@ __all__ = [
     "ProcessJobPool",
     "JOB_STATUSES",
     "JOB_POOLS",
+    "MAX_FINISHED_JOBS",
     "resolve_pool",
 ]
 
@@ -62,6 +65,12 @@ WORKER_CRASHED = "worker_crashed"
 
 #: Stable error code for a job submitted after the pool shut down.
 POOL_CLOSED = "pool_closed"
+
+#: Finished (``done``/``failed``) jobs a store keeps for polling.  Past
+#: it the oldest finished job is dropped, and its id answers 404, so a
+#: long-lived service's memory stays bounded; queued and running jobs
+#: are never dropped.
+MAX_FINISHED_JOBS = 256
 
 
 def resolve_pool(pool: str) -> str:
@@ -301,6 +310,11 @@ class JobStore:
             ProcessJobPool() if self.pool == "process" else ThreadJobPool()
         )
         self._jobs: "dict[str, Job]" = {}
+        #: Ids of the kept finished jobs, oldest first.
+        self._finished: "deque[str]" = deque()
+        #: Dropped finished jobs per status, so :meth:`counts` still
+        #: covers every job the service has seen.
+        self._dropped = dict.fromkeys(JOB_STATUSES, 0)
         self._lock = threading.Lock()
         self._queue: "queue.Queue" = queue.Queue()
         self._closed = False
@@ -336,6 +350,7 @@ class JobStore:
             job.finish_failed(
                 POOL_CLOSED, "the job pool is shut down; job was not queued"
             )
+            self._retire(job)
             if on_complete is not None:
                 on_complete(job)
             return job
@@ -374,7 +389,7 @@ class JobStore:
     def counts(self) -> dict:
         """``{status: n}`` over every job the service has seen."""
         with self._lock:
-            out = {status: 0 for status in JOB_STATUSES}
+            out = dict(self._dropped)
             for job in self._jobs.values():
                 out[job.status] += 1
         return out
@@ -405,6 +420,17 @@ class JobStore:
         self._threads = []
         self._pool_impl.close()
 
+    def _retire(self, job: Job) -> None:
+        """Keep finished ``job``, dropping the oldest finished jobs past
+        :data:`MAX_FINISHED_JOBS`."""
+        with self._lock:
+            if job.id not in self._jobs:
+                return
+            self._finished.append(job.id)
+            while len(self._finished) > MAX_FINISHED_JOBS:
+                dropped = self._jobs.pop(self._finished.popleft())
+                self._dropped[dropped.status] += 1
+
     # ------------------------------------------------------------------
     def _worker(self) -> None:
         while True:
@@ -423,6 +449,7 @@ class JobStore:
             job.finish_failed(type(exc).__name__, str(exc))
         finally:
             job.finished_at = time.time()
+        self._retire(job)
         if on_complete is not None:
             try:
                 on_complete(job)

@@ -10,8 +10,8 @@ massive-scale placement of HYPE, arXiv:1810.11319 — makes explicit):
   and MatrixMarket sources.  Pins spill to per-chunk temporary files
   through a bounded buffer and come back as
   :class:`~repro.engine.blocks.VertexBlock` CSR slices, so peak resident
-  pin memory is O(chunk + buffer) regardless of file size.  Shares the
-  strict validation of :mod:`repro.hypergraph.io`.  Sources need not be
+  pin memory is O(chunk + buffer) regardless of file size.  Parses with
+  the block tokenizer of :mod:`repro.hypergraph.io`.  Sources need not be
   files: the readers accept any byte source — an open file, ``bytes``,
   or an iterable of byte blocks — which is how the HTTP service
   (:mod:`repro.service`) parses uploads straight off the socket without

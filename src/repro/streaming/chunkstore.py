@@ -337,6 +337,22 @@ class ChunkStoreStream(ChunkStream):
                 + [chunks[-1]["stop"] if chunks else self.num_vertices],
                 dtype=np.int64,
             )
+            # Chunks tile [0, num_vertices) in order, each with one
+            # pointer per vertex plus one, so replay can trust their ranges.
+            bounds = self._chunk_starts
+            stops = np.asarray([c["stop"] for c in chunks], dtype=np.int64)
+            pointers = np.asarray([c["starts"]["count"] for c in chunks], dtype=np.int64)
+            if (
+                bounds[0] != 0
+                or bounds[-1] != self.num_vertices
+                or (stops != bounds[1:]).any()
+                or (np.diff(bounds) < 0).any()
+                or (pointers != np.diff(bounds) + 1).any()
+            ):
+                raise ChunkStoreError(
+                    f"{manifest_path}: chunks do not tile [0, {self.num_vertices}) "
+                    "in order with one starts entry per vertex plus one"
+                )
             for section, dtype in (
                 ("vertex_weights", _FLOAT),
                 ("edge_weights", _FLOAT),

@@ -5,12 +5,15 @@ pin structure before any partitioner runs, which caps the instance size at
 available RAM.  This module reads the same formats **without ever holding
 the whole pin array in memory**:
 
-1. **Ingest** (one pass over the source file): each hyperedge line is
-   parsed and validated with the *same* helpers as the strict in-memory
-   readers, then its pins are bucketed by destination vertex chunk
-   (``v // chunk_size``) through a bounded in-memory buffer that spills to
-   per-chunk temporary files on disk.  Peak resident pins during ingest is
-   the buffer size, independent of the file size.
+1. **Ingest** (one pass over the source file): the text is cut into
+   blocks of whole lines, ``2 * buffer_pins`` characters at most (a pin
+   takes at least two, a digit and a separator), by the one tokenizer of
+   :mod:`repro.hypergraph.io` (:func:`~repro.hypergraph.io.token_blocks`).
+   Each block is validated with array checks that report the earliest
+   bad line, and its pins go to a bounded in-memory buffer that buckets
+   them by destination vertex chunk (``v // chunk_size``) and spills to
+   per-chunk temporary files on disk.  Peak resident pins during ingest
+   is the buffer size, independent of the file size.
 2. **Iteration**: chunks are loaded one at a time from their spill files
    and yielded as :class:`~repro.engine.blocks.VertexBlock` CSR slices
    (vertex -> incident hyperedge ids, exactly the direction the
@@ -31,11 +34,10 @@ check that chunked and whole-file reads agree bit for bit.
 
 from __future__ import annotations
 
-import io
-import os
 import shutil
 import tempfile
 import weakref
+from itertools import chain
 from pathlib import Path
 from typing import Iterator
 
@@ -44,10 +46,10 @@ import numpy as np
 from repro.engine.blocks import VertexBlock, concat_blocks
 from repro.hypergraph.io import (
     HypergraphFormatError,
-    _data_lines,
-    parse_hmetis_edge_line,
-    parse_hmetis_header,
-    parse_hmetis_vertex_weight,
+    parse_numbers,
+    raise_first_failure,
+    text_source,
+    token_blocks,
 )
 from repro.hypergraph.model import Hypergraph
 
@@ -114,78 +116,6 @@ def _pin_budget_groups(
     return np.asarray(starts, dtype=np.int64), ranges
 
 
-class _ByteBlockReader(io.RawIOBase):
-    """Raw stream over an iterator of ``bytes`` blocks (socket body, pipe).
-
-    The bridge between push-style byte sources and the pull-style text
-    ingest loop: blocks of any size come in, ``readinto`` hands them out,
-    and :class:`io.TextIOWrapper` on top restores the line discipline the
-    parsers expect.  Nothing is accumulated — resident bytes are one
-    block plus the wrapper's buffer.
-    """
-
-    def __init__(self, blocks: Iterator[bytes]) -> None:
-        self._blocks = blocks
-        self._pending = memoryview(b"")
-
-    def readable(self) -> bool:
-        return True
-
-    def readinto(self, buf) -> int:
-        while not self._pending:
-            try:
-                block = next(self._blocks)
-            except StopIteration:
-                return 0
-            self._pending = memoryview(bytes(block))
-        n = min(len(buf), len(self._pending))
-        buf[:n] = self._pending[:n]
-        self._pending = self._pending[n:]
-        return n
-
-
-def _open_text_source(
-    source, *, label: "str | None" = None
-) -> "tuple[object, str, Path | None, bool]":
-    """Adapt ``source`` into the text line stream the ingest pass reads.
-
-    ``source`` may be a filesystem path, an open text file, an open
-    binary file, a single ``bytes`` object, or an iterable of ``bytes``
-    blocks (an HTTP request body, a pipe) — the last three are what let
-    a socket feed a :class:`ChunkStream` without the upload ever
-    touching the filesystem as text.
-
-    Returns ``(fh, label, source_path, owns)``: the text file object to
-    ingest from, the label error messages cite, the filesystem path when
-    there is one (``None`` for socket-fed sources, which therefore get
-    no digest/freshness shortcut), and whether this module owns — and
-    must close — ``fh``.  A caller-supplied open file is never closed
-    here.
-    """
-    if isinstance(source, (str, os.PathLike)):
-        path = Path(source)
-        return open(path, "r", encoding="utf-8"), str(path), path, True
-    if isinstance(source, io.TextIOBase):
-        return source, label or "<stream>", None, False
-    if isinstance(source, (bytes, bytearray, memoryview)):
-        blocks: Iterator[bytes] = iter((bytes(source),))
-    elif hasattr(source, "read"):
-        # Binary file-like: pull fixed blocks so closing our wrapper
-        # never closes the caller's object.
-        blocks = iter(lambda: source.read(1 << 16), b"")
-    elif hasattr(source, "__iter__"):
-        blocks = iter(source)
-    else:
-        raise TypeError(
-            "source must be a path, an open file, bytes, or an iterable "
-            f"of bytes blocks, got {type(source).__name__}"
-        )
-    fh = io.TextIOWrapper(
-        io.BufferedReader(_ByteBlockReader(blocks)), encoding="utf-8"
-    )
-    return fh, label or "<stream>", None, True
-
-
 # ----------------------------------------------------------------------
 # spill store
 # ----------------------------------------------------------------------
@@ -216,14 +146,14 @@ class _SpillStore:
     def num_buckets(self) -> int:
         return len(self._paths)
 
-    def add(self, vertices: np.ndarray, edge_id: int) -> None:
-        """Append the pins of one hyperedge, flushing as the buffer fills."""
+    def add(self, vertices: np.ndarray, edges: np.ndarray) -> None:
+        """Append (vertex, edge) pin pairs, flushing as the buffer fills."""
         pos, n = 0, vertices.size
         cap = self._buf.shape[0]
         while pos < n:
             take = min(cap - self._fill, n - pos)
             self._buf[self._fill : self._fill + take, 0] = vertices[pos : pos + take]
-            self._buf[self._fill : self._fill + take, 1] = edge_id
+            self._buf[self._fill : self._fill + take, 1] = edges[pos : pos + take]
             self._fill += take
             pos += take
             self.peak_buffered_pins = max(self.peak_buffered_pins, self._fill)
@@ -262,6 +192,20 @@ class _SpillStore:
         self._finalizer()
 
 
+def _unique_pairs(
+    major: np.ndarray, minor: np.ndarray
+) -> "tuple[np.ndarray, np.ndarray]":
+    """Sort ``(major, minor)`` pairs and drop repeated pairs."""
+    order = np.lexsort((minor, major))
+    major, minor = major[order], minor[order]
+    if major.size:
+        keep = np.empty(major.size, dtype=bool)
+        keep[0] = True
+        keep[1:] = (major[1:] != major[:-1]) | (minor[1:] != minor[:-1])
+        major, minor = major[keep], minor[keep]
+    return major, minor
+
+
 def _chunk_from_pairs(
     start: int,
     stop: int,
@@ -270,16 +214,8 @@ def _chunk_from_pairs(
     weights: np.ndarray,
 ) -> VertexBlock:
     """Assemble the block ``[start, stop)`` from unordered (vertex, edge) pairs."""
-    order = np.lexsort((edges, vertices))
-    vertices = vertices[order]
-    edges = edges[order]
-    if vertices.size:
-        # Per-edge duplicate pins collapse, mirroring the Hypergraph model.
-        keep = np.empty(vertices.size, dtype=bool)
-        keep[0] = True
-        keep[1:] = (vertices[1:] != vertices[:-1]) | (edges[1:] != edges[:-1])
-        vertices = vertices[keep]
-        edges = edges[keep]
+    # Per-edge duplicate pins collapse, mirroring the Hypergraph model.
+    vertices, edges = _unique_pairs(vertices, edges)
     counts = np.bincount(vertices - start, minlength=stop - start)
     ptr = np.zeros(stop - start + 1, dtype=np.int64)
     np.cumsum(counts, out=ptr[1:])
@@ -458,7 +394,14 @@ class _SpilledChunkStream(ChunkStream):
     vertex's neighbourhood — is emitted alone, best effort.
 
     The constructor runs the subclass's one ingest pass, ``_ingest(label,
-    fh)``, over ``source`` (see :func:`_open_text_source`).
+    texts)``, over ``source`` as runs of whole lines.
+
+    ``source`` is a path, an open file, ``bytes`` or an iterable of byte
+    blocks (an HTTP request body: the upload never materialises), see
+    :func:`~repro.hypergraph.io.text_source`; ``chunk_size`` is vertices
+    per chunk, ``buffer_pins`` the spill buffer's capacity (the
+    resident-memory knob), ``pin_budget`` cuts chunks by pins instead,
+    and ``name`` defaults to the file stem or ``"stream"``.
     """
 
     def __init__(
@@ -488,26 +431,21 @@ class _SpilledChunkStream(ChunkStream):
         self._edge_remap: "np.ndarray | None" = None
         self._chunk_buckets: "list[tuple[int, int]] | None" = None
         self.vertex_weights = np.empty(0)
-        fh, label, source_path, owns = _open_text_source(
-            source, label=f"<{name}>" if name else None
-        )
-        self.name = name or (source_path.stem if source_path else "stream")
-        self.source_path = source_path
-        # A parser error mid-stream must not leak the spill directory:
-        # close (idempotent) before re-raising.
-        try:
-            self._ingest(label, fh)
-        except UnicodeDecodeError as exc:
-            self.close()
-            raise HypergraphFormatError(
-                f"{label}: not valid UTF-8 text ({exc.reason})"
-            ) from exc
-        except BaseException:
-            self.close()
-            raise
-        finally:
-            if owns:
-                fh.close()
+        # A text block of 2 * buffer_pins characters holds at most
+        # buffer_pins pins (a digit and a separator each).
+        label = f"<{name}>" if name else None
+        with text_source(
+            source, label=label, block_chars=2 * self._buffer_pins
+        ) as (texts, label, source_path):
+            self.name = name or (source_path.stem if source_path else "stream")
+            self.source_path = source_path
+            # A parser error mid-stream must not leak the spill directory:
+            # close (idempotent) before re-raising.
+            try:
+                self._ingest(label, texts)
+            except BaseException:
+                self.close()
+                raise
 
     def _make_spill(self, num_vertices: int) -> _SpillStore:
         num_buckets = max(1, -(-num_vertices // self._storage_size))
@@ -573,23 +511,35 @@ class HmetisChunkStream(_SpilledChunkStream):
     """One-pass chunked reader for the hMetis format.
 
     The one hMetis parser (:func:`repro.hypergraph.io.read_hmetis` is
-    :func:`assemble` over it): the source is consumed line by line, pins
-    go straight to the spill store, and malformed input raises
-    :class:`HypergraphFormatError`.  ``source`` may be a
-    path or any byte source accepted by the format-agnostic adapter (an
-    open file, ``bytes``, or an iterable of byte blocks — e.g. an HTTP
-    request body).  Constructor parameters are those of
-    :func:`stream_hmetis`, the public entry point.
+    :func:`assemble` over it): the source is tokenized in blocks of whole
+    lines, each block's pins go to the spill store in one call, and
+    malformed input raises :class:`HypergraphFormatError` naming the
+    first bad line.  :func:`stream_hmetis` is this class; its parameters
+    are :class:`_SpilledChunkStream`'s, and ``.save(path)`` persists the
+    stream as a binary chunk store.
     """
 
-    def _ingest(self, path: str, fh) -> None:
-        lines = _data_lines(fh)
-        first = next(lines, None)
-        if first is None:
+    def _ingest(self, path: str, texts) -> None:
+        blocks = token_blocks(texts)
+        block = next(filter(len, blocks), None)
+        if block is None:
             raise HypergraphFormatError(f"{path}: empty file")
-        lineno, tokens = first
-        header = parse_hmetis_header(path, lineno, tokens)
-        num_edges, num_vertices = header.num_edges, header.num_vertices
+        lineno, header = int(block.lines[0]), block.tokens[: block.counts[0]].tolist()
+        if len(header) not in (2, 3):
+            raise HypergraphFormatError(
+                f"{path}:{lineno}: header must be '|E| |V| [fmt]', got {' '.join(header)!r}"
+            )
+        try:
+            num_edges, num_vertices = int(header[0]), int(header[1])
+            fmt = int(header[2]) if len(header) == 3 else 0
+        except ValueError as exc:
+            raise HypergraphFormatError(f"{path}:{lineno}: non-integer header") from exc
+        if fmt not in (0, 1, 10, 11):
+            raise HypergraphFormatError(f"{path}:{lineno}: unknown fmt {fmt}")
+        if num_edges < 0:
+            raise HypergraphFormatError(
+                f"{path}:{lineno}: num_edges must be >= 0, got {num_edges}"
+            )
         if num_vertices < 1:
             raise HypergraphFormatError(
                 f"{path}:{lineno}: num_vertices must be >= 1, got {num_vertices}"
@@ -601,31 +551,32 @@ class HmetisChunkStream(_SpilledChunkStream):
         self.vertex_weights = np.ones(num_vertices, dtype=np.float64)
         spill = self._make_spill(num_vertices)
 
+        # Data lines after the header: num_edges hyperedge lines, then
+        # (fmt 10/11) num_vertices vertex-weight lines; the rest is ignored.
         edges_seen = 0
         weights_seen = 0
         body_lines = 0
-        for lineno, tokens in lines:
-            body_lines += 1
-            if edges_seen < num_edges:
-                weight, pins = parse_hmetis_edge_line(path, lineno, tokens, header)
-                self.edge_weights[edges_seen] = weight
-                arr = np.unique(np.asarray(pins, dtype=np.int64))
-                spill.add(arr, edges_seen)
-                self.num_pins += arr.size
-                self.edge_degrees[edges_seen] = arr.size
-                edges_seen += 1
-            elif header.has_vertex_weights and weights_seen < num_vertices:
-                self.vertex_weights[weights_seen] = parse_hmetis_vertex_weight(
-                    path, lineno, tokens
-                )
-                weights_seen += 1
-            # trailing lines are ignored
+        for block in chain([block.slice(1, len(block))], blocks):
+            n = len(block)
+            body_lines += n
+            ne = min(n, num_edges - edges_seen)
+            if ne:
+                self._add_edges(path, block.slice(0, ne), edges_seen, fmt in (1, 11))
+                edges_seen += ne
+            nw = min(n - ne, num_vertices - weights_seen) if fmt in (10, 11) else 0
+            if nw:
+                lines = block.slice(ne, ne + nw)
+                weights, bad = parse_numbers(lines.tokens[lines.starts[:-1]], np.float64)
+                raise_first_failure(path, lines, [(bad, "bad vertex weight")])
+                self.vertex_weights[weights_seen : weights_seen + nw] = weights
+                weights_seen += nw
+            del block  # one parsed block resident at a time
 
         if edges_seen < num_edges:
             raise HypergraphFormatError(
                 f"{path}: expected {num_edges} hyperedge lines, found {body_lines}"
             )
-        if header.has_vertex_weights and weights_seen < num_vertices:
+        if fmt in (10, 11) and weights_seen < num_vertices:
             raise HypergraphFormatError(
                 f"{path}: expected {num_vertices} vertex-weight lines, "
                 f"found {weights_seen}"
@@ -642,6 +593,44 @@ class HmetisChunkStream(_SpilledChunkStream):
         self._finalise_chunks()
         self.total_vertex_weight = float(self.vertex_weights.sum())
         self._note_resident(spill.peak_buffered_pins)
+
+    def _add_edges(self, path: str, lines, first_edge: int, weighted: bool) -> None:
+        """Validate a block of hyperedge lines and spill their pins.
+
+        Pins are 1-based; the leading weight (fmt 1/11) may be fractional,
+        since :func:`~repro.hypergraph.io.write_hmetis` writes non-integral
+        weights as floats.  Each net's pins are spilled sorted and without
+        repeats.
+        """
+        n = len(lines)
+        heads = lines.starts[:-1]
+        owners = lines.owners()
+        checks = []
+        if weighted:
+            weights, bad = parse_numbers(lines.tokens[heads], np.float64)
+            checks += [
+                (lines.counts < 2, "weighted hyperedge needs weight + >=1 pin"),
+                (bad, lambda i: f"bad hyperedge weight {lines.tokens[heads[i]]!r}"),
+            ]
+            is_pin = np.ones(owners.size, dtype=bool)
+            is_pin[heads] = False
+            owners = owners[is_pin]
+            pins, bad = parse_numbers(lines.tokens[is_pin], np.int64)
+        else:
+            pins, bad = parse_numbers(lines.tokens, np.int64)
+        outside = (pins < 1) | (pins > self.num_vertices)
+        raise_first_failure(path, lines, checks + [
+            (lines.any_by_line(bad, owners), "non-integer token in hyperedge line"),
+            (lines.any_by_line(outside, owners), f"pin outside 1..{self.num_vertices}"),
+        ])
+        pins -= 1
+        if ((owners[1:] == owners[:-1]) & (pins[1:] <= pins[:-1])).any():
+            owners, pins = _unique_pairs(owners, pins)
+        self._spill.add(pins, owners + first_edge)
+        if weighted:
+            self.edge_weights[first_edge : first_edge + n] = weights
+        self.edge_degrees[first_edge : first_edge + n] = np.bincount(owners, minlength=n)
+        self.num_pins += pins.size
 
 
 # ----------------------------------------------------------------------
@@ -660,11 +649,11 @@ class MatrixMarketChunkStream(_SpilledChunkStream):
     both triangles, explicit values are irrelevant (any stored entry is a
     pin) and all-zero nets are dropped with renumbering.  Dense ``array``
     files are rejected — streaming them would make every column a full
-    net, defeating the point of out-of-core ingestion.  ``source`` may be
-    a path or any byte source accepted by the format-agnostic adapter (an
-    open file, ``bytes``, or an iterable of byte blocks — e.g. an HTTP
-    request body).  Constructor parameters are those of
-    :func:`stream_matrix_market`, the public entry point.
+    net, defeating the point of out-of-core ingestion.
+    :func:`stream_matrix_market` is this class: ``model`` is
+    ``"row-net"`` (columns are vertices, rows are nets, the default) or
+    ``"column-net"``, and the other parameters are
+    :class:`_SpilledChunkStream`'s.
     """
 
     def __init__(self, source, *, model: str = "row-net", **kwargs) -> None:
@@ -675,9 +664,11 @@ class MatrixMarketChunkStream(_SpilledChunkStream):
         self.model = model
         super().__init__(source, **kwargs)
 
-    def _ingest(self, path: str, fh) -> None:
-        banner = fh.readline()
-        tokens = banner.strip().split()
+    def _ingest(self, path: str, texts) -> None:
+        # Runs hold whole lines, so the first holds the whole banner.
+        texts = iter(texts)
+        banner, _, rest = next(texts, "").partition("\n")
+        tokens = banner.split()
         if not tokens or not tokens[0].lower().startswith("%%matrixmarket"):
             raise HypergraphFormatError(
                 f"{path}:1: not a MatrixMarket file (missing %%MatrixMarket banner)"
@@ -701,28 +692,28 @@ class MatrixMarketChunkStream(_SpilledChunkStream):
             )
         symmetric = mm_symmetry != "general"
 
-        lines = _data_lines(fh)
-        size_line = next(lines, None)
-        if size_line is None:
+        blocks = token_blocks(chain([rest], texts), first_line=2)
+        block = next(filter(len, blocks), None)
+        if block is None:
             raise HypergraphFormatError(f"{path}: missing size line")
-        lineno, tokens = size_line
+        lineno, tokens = int(block.lines[0]), block.tokens[: block.counts[0]].tolist()
         if len(tokens) != 3:
             raise HypergraphFormatError(
-                f"{path}:{lineno + 1}: size line must be 'rows cols nnz'"
+                f"{path}:{lineno}: size line must be 'rows cols nnz'"
             )
         try:
             num_rows, num_cols, nnz = (int(t) for t in tokens)
         except ValueError as exc:
             raise HypergraphFormatError(
-                f"{path}:{lineno + 1}: non-integer size line"
+                f"{path}:{lineno}: non-integer size line"
             ) from exc
         if min(num_rows, num_cols, nnz) < 0:
             raise HypergraphFormatError(
-                f"{path}:{lineno + 1}: negative count in size line"
+                f"{path}:{lineno}: negative count in size line"
             )
         if symmetric and num_rows != num_cols:
             raise HypergraphFormatError(
-                f"{path}:{lineno + 1}: {mm_symmetry} matrix must be square, "
+                f"{path}:{lineno}: {mm_symmetry} matrix must be square, "
                 f"got {num_rows} x {num_cols}"
             )
 
@@ -739,39 +730,30 @@ class MatrixMarketChunkStream(_SpilledChunkStream):
         edge_seen = np.zeros(raw_edges, dtype=bool)
 
         entries = 0
-        pair = np.empty(1, dtype=np.int64)
-        for lineno, tokens in lines:
-            if entries >= nnz:
-                raise HypergraphFormatError(
-                    f"{path}:{lineno + 1}: more than the declared {nnz} entries"
-                )
-            if len(tokens) < 2:
-                raise HypergraphFormatError(
-                    f"{path}:{lineno + 1}: entry needs at least 'row col'"
-                )
-            try:
-                i, j = int(tokens[0]), int(tokens[1])
-            except ValueError as exc:
-                raise HypergraphFormatError(
-                    f"{path}:{lineno + 1}: non-integer coordinate"
-                ) from exc
-            if not (1 <= i <= num_rows and 1 <= j <= num_cols):
-                raise HypergraphFormatError(
-                    f"{path}:{lineno + 1}: entry ({i}, {j}) outside "
-                    f"{num_rows} x {num_cols}"
-                )
-            entries += 1
-            v, e = (j - 1, i - 1) if row_net else (i - 1, j - 1)
-            pair[0] = v
-            spill.add(pair, e)
+        for block in chain([block.slice(1, len(block))], blocks):
+            # Only 'row col' are read; a value column is never looked at.
+            # A one-token line fails its count check before its
+            # coordinates, which then come from the next token.
+            n, heads = len(block), block.starts[:-1]
+            seconds = np.minimum(heads + 1, block.tokens.size - 1)
+            rows, bad_rows = parse_numbers(block.tokens[heads], np.int64)
+            cols, bad_cols = parse_numbers(block.tokens[seconds], np.int64)
+            inside = (1 <= rows) & (rows <= num_rows) & (1 <= cols) & (cols <= num_cols)
+            raise_first_failure(path, block, [
+                (entries + np.arange(n) >= nnz, f"more than the declared {nnz} entries"),
+                (block.counts < 2, "entry needs at least 'row col'"),
+                (bad_rows | bad_cols, "non-integer coordinate"),
+                (~inside, lambda i: f"entry ({int(block.tokens[heads[i]])}, "
+                 f"{int(block.tokens[seconds[i]])}) outside {num_rows} x {num_cols}"),
+            ])
+            entries += n
+            v, e = (cols - 1, rows - 1) if row_net else (rows - 1, cols - 1)
+            if symmetric:  # an off-diagonal entry's mirror is spilled next
+                keep = np.column_stack((np.ones(n, dtype=bool), rows != cols)).ravel()
+                v, e = (np.column_stack(pair).ravel()[keep] for pair in ((v, e), (e, v)))
+            spill.add(v, e)
             edge_seen[e] = True
-            self.num_pins += 1
-            if symmetric and i != j:
-                v2, e2 = (i - 1, j - 1) if row_net else (j - 1, i - 1)
-                pair[0] = v2
-                spill.add(pair, e2)
-                edge_seen[e2] = True
-                self.num_pins += 1
+            del block  # one parsed block resident at a time
         if entries < nnz:
             raise HypergraphFormatError(
                 f"{path}: expected {nnz} entries, found {entries}"
@@ -870,97 +852,9 @@ class HypergraphChunkStream(ChunkStream):
 # ----------------------------------------------------------------------
 # public constructors + assembly
 # ----------------------------------------------------------------------
-def stream_hmetis(
-    source: "str | Path | object",
-    *,
-    chunk_size: int = DEFAULT_CHUNK_SIZE,
-    buffer_pins: int = DEFAULT_BUFFER_PINS,
-    pin_budget: "int | None" = None,
-    name: "str | None" = None,
-) -> HmetisChunkStream:
-    """Open an hMetis source as a re-iterable chunk stream (one-pass ingest).
-
-    Parameters
-    ----------
-    source:
-        the ``.hgr``/``.hmetis`` file path — or an already-open file,
-        ``bytes``, or any iterable of byte blocks (an HTTP request body,
-        a pipe), so sockets can feed the stream without the upload ever
-        materialising.  Validated exactly as the strict in-memory reader
-        validates a file.
-    chunk_size:
-        vertices per yielded chunk.
-    buffer_pins:
-        ingest buffer capacity in pins — the resident-memory knob of the
-        spill pass.
-    pin_budget:
-        cut chunk boundaries by resident pins instead of a fixed vertex
-        count — the bound that matters on hub-dominated graphs.
-    name:
-        stream name (default: the file stem, or ``"stream"`` for
-        non-path sources).
-
-    Returns
-    -------
-    HmetisChunkStream
-        a re-iterable stream of :class:`VertexBlock` CSR slices; use
-        ``.save(path)`` to persist it as a binary chunk store.
-    """
-    return HmetisChunkStream(
-        source,
-        chunk_size=chunk_size,
-        buffer_pins=buffer_pins,
-        pin_budget=pin_budget,
-        name=name,
-    )
-
-
-def stream_matrix_market(
-    source: "str | Path | object",
-    *,
-    model: str = "row-net",
-    chunk_size: int = DEFAULT_CHUNK_SIZE,
-    buffer_pins: int = DEFAULT_BUFFER_PINS,
-    pin_budget: "int | None" = None,
-    name: "str | None" = None,
-) -> MatrixMarketChunkStream:
-    """Open a MatrixMarket coordinate source as a re-iterable chunk stream.
-
-    Parameters
-    ----------
-    source:
-        the ``.mtx`` coordinate file path (dense ``array`` files are
-        rejected) — or an already-open file, ``bytes``, or any iterable
-        of byte blocks (an HTTP request body, a pipe).
-    model:
-        ``"row-net"`` (columns are vertices, rows are nets, the default)
-        or ``"column-net"`` (flipped).
-    chunk_size:
-        vertices per yielded chunk.
-    buffer_pins:
-        ingest buffer capacity in pins — the resident-memory knob of the
-        spill pass.
-    pin_budget:
-        cut chunk boundaries by resident pins instead of a fixed vertex
-        count — the bound that matters on hub-dominated graphs.
-    name:
-        stream name (default: the file stem, or ``"stream"`` for
-        non-path sources).
-
-    Returns
-    -------
-    MatrixMarketChunkStream
-        a re-iterable stream of :class:`VertexBlock` CSR slices; use
-        ``.save(path)`` to persist it as a binary chunk store.
-    """
-    return MatrixMarketChunkStream(
-        source,
-        model=model,
-        chunk_size=chunk_size,
-        buffer_pins=buffer_pins,
-        pin_budget=pin_budget,
-        name=name,
-    )
+#: The public constructors of the two text streams.
+stream_hmetis = HmetisChunkStream
+stream_matrix_market = MatrixMarketChunkStream
 
 
 def assemble(stream: ChunkStream) -> Hypergraph:

@@ -11,6 +11,7 @@ rejection, digest validation and the convert-once cache contract.
 
 import hashlib
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -340,3 +341,69 @@ class TestCachedStream:
         )
         assert hit
         assert assemble(stream) == read_hmetis(path)
+
+
+class TestManifestTiling:
+    """Seeded mutations of the manifest's chunk ranges are rejected at
+    open, or replay exactly as before: no mis-tiled store reaches the
+    partitioners."""
+
+    MUTATIONS = 600
+
+    @pytest.fixture(scope="class")
+    def store(self, tmp_path_factory):
+        tmp = tmp_path_factory.mktemp("tiling")
+        path = tmp / "cubes.hgr"
+        write_hmetis(load_instance("2cubes_sphere", scale=0.02), path)
+        with stream_hmetis(path, chunk_size=64) as stream:
+            return stream.save(tmp / "cubes.chunkstore")
+
+    def _replay(self, store):
+        with open_store(store) as stream:
+            return [
+                (c.ids.tolist(), c.vertex_ptr.tolist(), c.vertex_edges.tolist())
+                for c in stream
+            ], assemble(stream)
+
+    def test_reversed_chunk_is_rejected(self, store, tmp_path):
+        dst = tmp_path / "copy.chunkstore"
+        shutil.copytree(store, dst)
+        manifest = json.loads((dst / MANIFEST_NAME).read_text())
+        manifest["chunks"][0].update(start=90, stop=41)
+        (dst / MANIFEST_NAME).write_text(json.dumps(manifest))
+        with pytest.raises(ChunkStoreError, match="do not tile"):
+            open_store(dst)
+
+    def test_seeded_mutations_are_rejected_or_replay_identically(
+        self, store, tmp_path
+    ):
+        dst = tmp_path / "copy.chunkstore"
+        shutil.copytree(store, dst)
+        manifest = json.loads((dst / MANIFEST_NAME).read_text())
+        reference = self._replay(store)
+        # Where the tiling lives: every chunk's range and its pointer
+        # section's length, and the vertex count they must cover.
+        leaves = [("num_vertices",)]
+        for c in range(len(manifest["chunks"])):
+            leaves += [("chunks", c, "start"), ("chunks", c, "stop")]
+            leaves += [("chunks", c, "starts", "count")]
+        rng = np.random.default_rng(20261025)
+        rejected = 0
+        for i in range(self.MUTATIONS):
+            mutated = json.loads(json.dumps(manifest))
+            for k in rng.choice(len(leaves), size=rng.integers(1, 3), replace=False):
+                *parents, key = leaves[k]
+                node = mutated
+                for step in parents:
+                    node = node[step]
+                node[key] = int(max(0, node[key] + rng.integers(-70, 71)))
+            (dst / MANIFEST_NAME).write_text(json.dumps(mutated))
+            try:
+                open_store(dst).close()
+            except ChunkStoreError:
+                rejected += 1
+                continue
+            chunks, hg = self._replay(dst)
+            assert chunks == reference[0], f"mutation {i} replayed differently"
+            assert hg == reference[1]
+        assert rejected > self.MUTATIONS // 2

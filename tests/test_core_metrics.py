@@ -14,7 +14,6 @@ from repro.core.metrics import (
     partition_loads,
     partitioning_comm_cost,
     soed,
-    vertex_neighbour_counts,
 )
 from repro.hypergraph.model import Hypergraph
 
@@ -104,27 +103,6 @@ class TestLoadsAndImbalance:
         loads = partition_loads(hg, a, 2)
         assert loads.tolist() == [3.0, 9.0]
         assert imbalance(hg, a, 2) == pytest.approx(1.5)
-
-
-class TestVertexNeighbourCounts:
-    def test_exclude_self(self, parted):
-        hg, a, p = parted
-        X = vertex_neighbour_counts(hg, a, p, exclude_self=True)
-        # vertex 0 (part 0): edge {0,1,2} gives neighbours 1(part0), 2(part1);
-        # edge {0,5} gives 5(part2) => X = [1,1,1]
-        assert X[0].tolist() == [1.0, 1.0, 1.0]
-        # vertex 3 (part 1): edge {2,3} -> 2(part1); edge {3,4,5} -> 4,5(part2)
-        assert X[3].tolist() == [0.0, 1.0, 2.0]
-
-    def test_include_self(self, parted):
-        hg, a, p = parted
-        X = vertex_neighbour_counts(hg, a, p, exclude_self=False)
-        assert X[0].tolist() == [3.0, 1.0, 1.0]
-
-    def test_isolated_vertex_is_zero(self):
-        hg = Hypergraph(4, [[0, 1]])
-        X = vertex_neighbour_counts(hg, np.zeros(4, dtype=int), 2)
-        assert X[3].tolist() == [0.0, 0.0]
 
 
 class TestPCCost:

@@ -1,4 +1,6 @@
-"""Tests for hypergraph file formats (hMetis, PaToH, MatrixMarket, JSON)."""
+"""Tests for hypergraph file formats (hMetis, PaToH, MatrixMarket)."""
+
+import re
 
 import numpy as np
 import pytest
@@ -7,11 +9,9 @@ import scipy.sparse as sp
 
 from repro.hypergraph.io import (
     HypergraphFormatError,
-    load_json,
     read_hmetis,
     read_matrix_market,
     read_patoh,
-    save_json,
     write_hmetis,
     write_patoh,
 )
@@ -110,6 +110,37 @@ class TestPatoh:
         with pytest.raises(HypergraphFormatError, match="base"):
             read_patoh(path)
 
+    def test_weights(self, tmp_path):
+        path = tmp_path / "w.patoh"
+        path.write_text("0 3 2 4 3\n5 0 1\n7 1 2\n1.5 2\n3\n")
+        hg = read_patoh(path)
+        assert hg.edge_weights.tolist() == [5.0, 7.0]
+        assert hg.vertex_weights.tolist() == [1.5, 2.0, 3.0]
+
+    @pytest.mark.parametrize(
+        "text,where",
+        [
+            ("0 3 one 2\n0 1\n", ":1: non-integer header"),
+            ("0 3 1 2\n0 x\n", ":2: non-integer token in net line"),
+            ("0 3 1 2 1\n0 1\n1 z 1\n", ":3: bad cell weight"),
+            ("0 3 1 2 1\n0 1\n1\nnan 1\n", ":4: cell weights must be finite and positive"),
+            ("0 3 1 2 2\n0 0 1\n", ":2: net weights must be strictly positive"),
+            ("0 0 1 1\n0\n", ":1: header needs |V| >= 1"),
+            ("0 3 1 2 7\n0 1\n", ":1: unknown fmt 7"),
+        ],
+    )
+    def test_bad_input_is_a_format_error_naming_the_line(self, tmp_path, text, where):
+        path = tmp_path / "bad.patoh"
+        path.write_text(text)
+        with pytest.raises(HypergraphFormatError, match=re.escape(f"{path}{where}")):
+            read_patoh(path)
+
+    def test_non_utf8_is_a_format_error(self, tmp_path):
+        path = tmp_path / "bad.patoh"
+        path.write_bytes(b"0 3 1 2\n0 \xff1\n")
+        with pytest.raises(HypergraphFormatError, match="not valid UTF-8"):
+            read_patoh(path)
+
 
 class TestMatrixMarket:
     def test_row_net_from_mtx(self, tmp_path):
@@ -128,12 +159,3 @@ class TestMatrixMarket:
         hg = read_matrix_market(path, model="column-net")
         assert hg.num_vertices == 2
         assert hg.num_edges == 2
-
-
-class TestJson:
-    def test_lossless_roundtrip(self, weighted_hypergraph, tmp_path):
-        path = tmp_path / "h.json"
-        save_json(weighted_hypergraph, path)
-        back = load_json(path)
-        assert back == weighted_hypergraph
-        assert back.name == "weighted"

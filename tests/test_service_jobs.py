@@ -22,6 +22,7 @@ from repro.engine.parallel import fork_available
 from repro.hypergraph.io import write_hmetis
 from repro.hypergraph.model import Hypergraph
 from repro.service import PartitionService, ServiceConfig
+from repro.service import jobs as jobs_module
 from repro.service.jobs import JobStore, resolve_pool
 
 needs_fork = pytest.mark.skipif(
@@ -138,6 +139,43 @@ class TestLifecycleEdges:
             lines = text.splitlines()
             assert len(lines) == n
             assert set(lines) <= {"0", "1"}
+
+
+# ----------------------------------------------------------------------
+# retention: finished jobs are bounded
+# ----------------------------------------------------------------------
+class TestRetention:
+    def test_oldest_finished_jobs_are_dropped(self, monkeypatch, tmp_path, tiny_hgr):
+        """Past MAX_FINISHED_JOBS a finished job's id answers 404, while
+        healthz still counts it."""
+        monkeypatch.setattr(jobs_module, "MAX_FINISHED_JOBS", 2)
+        cfg = ServiceConfig(port=0, workers=1, pool="thread", cache_dir=tmp_path / "c")
+        with PartitionService(cfg) as svc:
+            docs = [
+                _request(f"{svc.url}/v1/partitions?k=2&sync=1", data=tiny_hgr)[1]
+                for _ in range(4)
+            ]
+            assert [doc["status"] for doc in docs] == ["done"] * 4
+            polls = [_request(svc.url + doc["links"]["self"]) for doc in docs]
+            assert [status for status, _ in polls] == [404, 404, 200, 200]
+            assert "no partition job" in polls[0][1]["error"]["message"]
+            _, health = _request(f"{svc.url}/v1/healthz")
+            assert health["jobs"] == {"queued": 0, "running": 0, "done": 4, "failed": 0}
+
+    def test_unfinished_jobs_are_never_dropped(self, monkeypatch):
+        monkeypatch.setattr(jobs_module, "MAX_FINISHED_JOBS", 1)
+        store = JobStore(workers=1, pool="thread")
+        try:
+            waiting = store.create({})
+            finished = []
+            for _ in range(3):
+                finished.append(store.create({}))
+                store.run(finished[-1], lambda: ([0], 1, {}))
+            assert store.get(waiting.id) is waiting
+            assert [store.get(job.id) for job in finished] == [None, None, finished[-1]]
+            assert store.counts() == {"queued": 1, "running": 0, "done": 3, "failed": 0}
+        finally:
+            store.close()
 
 
 # ----------------------------------------------------------------------

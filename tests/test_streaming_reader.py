@@ -15,6 +15,7 @@ from repro.hypergraph.io import (
     HypergraphFormatError,
     read_hmetis,
     read_matrix_market,
+    read_patoh,
     write_hmetis,
 )
 from repro.hypergraph.model import Hypergraph
@@ -544,10 +545,15 @@ class TestReaderFuzz:
         b"% comment\n12 12 10\n1 1 1.0\n2 1 -2.5\n3 2 4\n4 4 1e-3\n"
         b"5 3 7\n7 5 2\n9 8 1\n10 10 3\n12 11 5\n12 6 1\n"
     )
+    #: fmt 3: a weight leads each net, cell weights follow the nets.
+    PATOH = (
+        b"1 12 10 23 3\n2 1 2 3\n1 3 4\n3 4 5 6\n1 1 6\n2 7 8\n1 8 9 10\n"
+        b"4 10 11\n1 11 12\n2 12 1\n1 5 9\n1 2 1 3 1 2\n1 1 2 1 3 1\n"
+    )
     ALPHABET = b"-+.0123456789 \n%e"
     #: 20261028 found a negative row count and 20261048 a non-square
     #: symmetric matrix, both crashing the MatrixMarket reader.
-    SEEDS = {"hmetis": (20261019,), "mtx": (20261028, 20261048)}
+    SEEDS = {"hmetis": (20261019,), "mtx": (20261028, 20261048), "patoh": (20261025,)}
     REPLACEMENTS = 300
 
     def _truncations(self, raw):
@@ -569,6 +575,7 @@ class TestReaderFuzz:
     @pytest.mark.parametrize(
         "fmt,opener",
         [("hmetis", stream_hmetis), ("mtx", stream_matrix_market)],
+        ids=["hmetis-stream_hmetis", "mtx-stream_matrix_market"],
     )
     def test_every_case_parses_or_raises_format_error(self, fmt, opener):
         raw = self.HMETIS if fmt == "hmetis" else self.MTX
@@ -585,3 +592,19 @@ class TestReaderFuzz:
                 pass
             except Exception as exc:  # noqa: BLE001 — the fault under test
                 pytest.fail(f"{fmt} {label}: {data!r} raised {exc!r}")
+
+    def test_every_patoh_case_parses_or_raises_format_error(self, tmp_path):
+        path = tmp_path / "fuzz.patoh"
+        path.write_bytes(self.PATOH)  # the seed file itself is valid
+        assert read_patoh(path).num_pins == 23
+        cases = list(self._truncations(self.PATOH))
+        for seed in self.SEEDS["patoh"]:
+            cases += self._replacements(self.PATOH, seed)
+        for label, data in cases:
+            path.write_bytes(data)
+            try:
+                read_patoh(path)
+            except HypergraphFormatError:
+                pass
+            except Exception as exc:  # noqa: BLE001 — the fault under test
+                pytest.fail(f"patoh {label}: {data!r} raised {exc!r}")
