@@ -416,8 +416,10 @@ def compare_pools(
     Boots one service per pool (same workers, same store, same seeded
     partition request) and drives ``requests`` sync replays from
     ``threads`` client threads.  The thread pool serialises the numpy
-    pass kernels behind the GIL; the process pool forks one job per
-    request, so on a multi-core box its rps should pull ahead — that
+    pass kernels behind the GIL; the process pool runs each request on
+    one of ``threads`` persistent worker processes (forked once, during
+    the warm-up and the first concurrent requests), so on a multi-core
+    box its rps should pull ahead — that
     ratio is :attr:`PoolLadder.speedup`, asserted in CI (gated on
     ``os.cpu_count()``).  Defaults to ``("thread",)`` only where fork
     is unavailable.

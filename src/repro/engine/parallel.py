@@ -55,7 +55,6 @@ __all__ = [
     "run_shards",
     "shard_bounds",
     "merge_shard_tables",
-    "ForkedCall",
     "ShardRounds",
 ]
 
@@ -217,102 +216,6 @@ def shard_bounds(stream, ranges: "list[tuple[int, int]]"):
     ]
     weights = stream.vertex_weights
     return bounds, [float(weights[a:b].sum()) for a, b in bounds]
-
-
-def _call_child(fn, conn) -> None:
-    """Child body for :class:`ForkedCall`: run ``fn`` and ship the outcome.
-
-    Unlike :func:`_child` (whose payloads feed ``run_tasks``'s single
-    merged RuntimeError), the failure payload here keeps the exception
-    *type* and message separate, so callers can preserve the same
-    ``{code, message}`` shape an in-process run would have produced.
-    """
-    try:
-        conn.send((True, fn()))
-    except BaseException as exc:
-        try:
-            conn.send((False, (type(exc).__name__, str(exc))))
-        finally:
-            conn.close()
-    else:
-        conn.close()
-
-
-class ForkedCall:
-    """One callable running in its own forked child, crash-safe.
-
-    The service's process job pool forks one child per partition job:
-    the callable closes over live handler state (fork-inheritable, not
-    picklable) and only the picklable *result* crosses the pipe — the
-    same design as :func:`run_tasks`, but for a single call whose
-    failure must be observed rather than raised, and whose child may be
-    killed out from under the caller (crash detection is the point).
-
-    The child is **not** daemonic: partition jobs legally fork their own
-    shard workers (``workers>=2`` sharded streaming), and daemonic
-    processes are forbidden children.  Callers own cleanup via
-    :meth:`wait` (always joins) or :meth:`terminate`.
-
-    Outcomes from :meth:`wait`:
-
-    * ``("ok", result)`` — the callable returned ``result``.
-    * ``("error", (exc_type_name, message))`` — the callable raised.
-    * ``("crashed", detail)`` — the child died without reporting (e.g.
-      SIGKILL mid-job); ``detail`` names the exit code / signal.
-    """
-
-    def __init__(self, fn) -> None:
-        if not fork_available():  # pragma: no cover - non-POSIX guard
-            raise RuntimeError(
-                "ForkedCall requires the 'fork' start method; use the "
-                "thread pool fallback on this platform"
-            )
-        ctx = mp.get_context("fork")
-        self._parent_conn, child_conn = ctx.Pipe(duplex=False)
-        self._proc = ctx.Process(
-            target=_call_child, args=(fn, child_conn), daemon=False
-        )
-        self._proc.start()
-        child_conn.close()
-
-    @property
-    def pid(self) -> "int | None":
-        """The child's OS pid (fault injection targets this)."""
-        return self._proc.pid
-
-    def wait(self) -> tuple:
-        """Block until the child reports or dies; reap it; return the outcome.
-
-        Never hangs on a killed child: the kernel closes the child's end
-        of the pipe on process death, so ``recv`` sees EOF immediately.
-        """
-        try:
-            ok, payload = self._parent_conn.recv()
-        except (EOFError, OSError):
-            ok, payload = None, None
-        finally:
-            self._parent_conn.close()
-        self._proc.join()
-        if ok is True:
-            return ("ok", payload)
-        if ok is False:
-            return ("error", payload)
-        code = self._proc.exitcode
-        detail = (
-            f"killed by signal {-code}" if code is not None and code < 0
-            else f"exit code {code}"
-        )
-        return ("crashed", detail)
-
-    def terminate(self) -> None:
-        """Kill the child and reap it (idempotent; used at pool close)."""
-        try:
-            self._parent_conn.close()
-        except OSError:  # pragma: no cover - already closed
-            pass
-        if self._proc.is_alive():
-            self._proc.terminate()
-        self._proc.join()
 
 
 def _serve_rounds(gen_fn, conn) -> None:

@@ -187,8 +187,8 @@ _FLAGS = {
     "--pool": dict(
         choices=("auto", "process", "thread"),
         default=ServiceConfig.pool,
-        help="partition job execution: one forked child per job "
-        "('process'), inline on worker threads ('thread'), or 'auto' "
+        help="partition job execution: on persistent forked worker "
+        "processes ('process'), inline on worker threads ('thread'), or 'auto' "
         "(process where fork exists)",
     ),
     "--max-queue-depth": dict(

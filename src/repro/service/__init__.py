@@ -27,11 +27,12 @@ rule holds:
   parsing entirely (observable via the ``text_ingests`` /
   ``store_replays`` counters).
 * :mod:`~repro.service.jobs` — :class:`JobStore`: async partition jobs
-  polled by id, executed by :class:`ProcessJobPool` (one forked child
-  per job — N concurrent jobs use N cores, a dead worker marks its job
-  ``failed`` instead of hanging the poller) or :class:`ThreadJobPool`
-  (inline, the fallback where ``fork`` is unavailable); ``sync=1`` runs
-  on the request thread through the same pool.
+  polled by id, executed by :class:`ProcessJobPool` (long-lived forked
+  worker processes, reused across jobs — N concurrent jobs use N cores,
+  a dead worker marks its job ``failed`` instead of hanging the poller)
+  or :class:`ThreadJobPool` (inline, the fallback where ``fork`` is
+  unavailable); ``sync=1`` runs on the request thread through the same
+  pool.
 * :mod:`~repro.service.admission` — API-key auth (``REPRO_API_KEYS`` /
   ``--api-key-file``) and per-key token-bucket rate limiting; with the
   queue-depth backpressure in :class:`JobStore` these are the 401 / 403

@@ -231,7 +231,7 @@ class _RequestHandler(BaseHTTPRequestHandler):
                 raise MethodNotAllowed(
                     f"{path} supports {', '.join(routes)} only"
                 )
-            if route is None or args is None:
+            if route is None:
                 raise NotFound(f"no route {path!r}")
             # repeated keys: last wins
             params = dict(parse_qsl(query, keep_blank_values=True))

@@ -29,6 +29,7 @@ re-parsing text.  The ``text_ingests`` / ``store_replays`` counters in
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import shutil
 import tempfile
@@ -220,22 +221,21 @@ def resolve(path: str) -> "tuple[str, dict[str, Route], dict | None]":
     ``label`` is the matched template — the low-cardinality ``route``
     metric label — or ``"other"``; ``routes`` maps each method the path
     supports to its :class:`Route`; ``args`` holds the template's path
-    argument, ``None`` when no template matches.  A path below a
-    templated route (``/v1/partitions/<id>/x``) keeps that route's
-    methods, so another method is a 405 and a matching one a 404.
+    argument.  An unmatched path — one below a templated route
+    (``/v1/partitions/<id>/x``) too — has no routes and ``args`` of
+    ``None``, so every method on it is a 404.
     """
     routes = _FIXED.get(path)
     if routes is not None:
         return path, routes, {}
-    below: "dict[str, Route]" = {}
     for prefix, name, suffix, template, routes in _TEMPLATED:
-        if not path.startswith(prefix):
-            continue
         value = path[len(prefix): len(path) - len(suffix)]
-        if path.endswith(suffix) and value and "/" not in value:
+        if (
+            path.startswith(prefix) and path.endswith(suffix)
+            and value and "/" not in value
+        ):
             return template, routes, {name: value}
-        below.update(routes)
-    return "other", below, None
+    return "other", {}, None
 
 
 #: Blocks per slice when streaming an assignment body.
@@ -259,9 +259,10 @@ class ServiceConfig:
     workers:
         partition workers draining the async job queue.
     pool:
-        how partition jobs execute: ``"process"`` (one forked child per
-        job — N concurrent jobs use N cores), ``"thread"`` (inline,
-        GIL-sharing) or ``"auto"`` (process where ``fork`` exists).
+        how partition jobs execute: ``"process"`` (long-lived forked
+        worker processes — N concurrent jobs use N cores),
+        ``"thread"`` (inline, GIL-sharing) or ``"auto"`` (process
+        where ``fork`` exists).
     max_queue_depth:
         backpressure bound on queued-not-yet-running jobs; beyond it
         ``POST /v1/partitions`` answers ``429 queue_full`` with a
@@ -426,10 +427,11 @@ class ServiceHandlers:
             "kernel_njit_runs": 0,
             # operational counters (this layer): admission rejections
             # (401/403/429), LRU store evictions, pool workers that died
-            # mid-job.
+            # mid-job, pool worker processes forked.
             "rejected_requests": 0,
             "evictions": 0,
             "jobs_crashed": 0,
+            "job_workers_started": 0,
         }
         if self.config.cache_dir is None:
             self._own_cache = Path(tempfile.mkdtemp(prefix="repro-service-"))
@@ -500,6 +502,12 @@ class ServiceHandlers:
             "repro_store_evictions_total",
             "Chunk stores evicted by the byte budget.",
             lambda: self.store_cache.evictions,
+            kind="counter",
+        )
+        reg.gauge(
+            "repro_job_workers_started_total",
+            "Job worker processes the process pool has forked.",
+            lambda: self.jobs.workers_started,
             kind="counter",
         )
         for key, help_text in (
@@ -829,6 +837,7 @@ class ServiceHandlers:
             stats = dict(self.stats)
         stats["pass_seconds"] = round(stats["pass_seconds"], 6)
         stats["evictions"] = self.store_cache.evictions
+        stats["job_workers_started"] = self.jobs.workers_started
         return 200, {
             "status": "ok",
             "version": SERVICE_VERSION,
@@ -878,34 +887,42 @@ class ServiceHandlers:
         return spec
 
     def _job_fn(self, digest: str, spec: dict):
-        """The deferred partition body: replay the store, run, report.
+        """The deferred partition body: :func:`_run_job` bound
+        to the digest's store directory and the validated spec.
 
-        Every run opens its own :class:`ChunkStoreStream` (mmap replay —
-        the text parser never runs here), so concurrent jobs over one
-        upload share pages, not Python state.  The body is
-        *side-effect-free on the service*: with the process pool it runs
-        in a forked child whose memory is discarded, so all stats
-        accounting happens in :meth:`_job_complete` (parent side) from
-        the returned metrics.
+        A :func:`functools.partial` of a module-level function, so the
+        process pool can pickle it to a worker: both arguments are a
+        ``Path`` and a JSON-like dict.  The body is *side-effect-free on
+        the service*: with the process pool it runs in a worker process
+        that serves many jobs, so all stats accounting happens in
+        :meth:`_job_complete` (parent side) from the returned metrics.
         """
-        store_dir = self.store_dir(digest)
+        return functools.partial(_run_job, self.store_dir(digest), spec)
 
-        def run():
-            stream = open_store(store_dir)
-            with stream:
-                partitioner = build_partitioner(spec, stream.num_vertices)
-                result = partitioner.partition_stream(
-                    stream,
-                    spec["k"],
-                    cost_matrix=_cost_matrix(spec["cost"], spec["k"], spec["seed"]),
-                    seed=spec["seed"],
-                )
-                metrics = json_safe(result.metadata)
-                metrics["algorithm"] = result.algorithm
-                metrics["num_vertices"] = stream.num_vertices
-                metrics["num_edges"] = stream.num_edges
-                metrics["num_pins"] = stream.num_pins
-                metrics["peak_resident_pins"] = int(stream.peak_resident_pins)
-            return result.assignment, spec["k"], metrics
 
-        return run
+def _run_job(store_dir: Path, spec: dict):
+    """Replay the chunk store at ``store_dir``, partition it per ``spec``
+    and return ``(assignment, k, metrics)``.
+
+    Every run opens its own :class:`ChunkStoreStream` (mmap replay — the
+    text parser never runs here), so concurrent jobs over one upload
+    share pages, not Python state, and a worker that serves many jobs
+    carries nothing from one to the next: the partitioner, the cost
+    matrix and the stream are built afresh from the arguments, and the
+    stream is closed before the result is returned.
+    """
+    with open_store(store_dir) as stream:
+        partitioner = build_partitioner(spec, stream.num_vertices)
+        result = partitioner.partition_stream(
+            stream,
+            spec["k"],
+            cost_matrix=_cost_matrix(spec["cost"], spec["k"], spec["seed"]),
+            seed=spec["seed"],
+        )
+        metrics = json_safe(result.metadata)
+        metrics["algorithm"] = result.algorithm
+        metrics["num_vertices"] = stream.num_vertices
+        metrics["num_edges"] = stream.num_edges
+        metrics["num_pins"] = stream.num_pins
+        metrics["peak_resident_pins"] = int(stream.peak_resident_pins)
+    return result.assignment, spec["k"], metrics

@@ -7,11 +7,12 @@ fixed pool of worker threads draining a FIFO queue.  What a worker does
 with a popped job is delegated to an **execution pool**:
 
 * :class:`ProcessJobPool` (the default wherever ``fork`` exists) runs
-  each job in its own forked child via
-  :class:`repro.engine.parallel.ForkedCall` — N concurrent partition
-  jobs really use N cores instead of time-slicing one GIL, and a worker
-  that *dies* mid-job (OOM-kill, SIGKILL) marks the job ``failed`` with
-  the stable error code ``worker_crashed`` instead of hanging a poller.
+  each job on a long-lived forked worker process, forked on first
+  demand and reused for every later job — N concurrent partition jobs
+  really use N cores instead of time-slicing one GIL, a job pays a pipe
+  round trip instead of a fork, and a worker that *dies* mid-job
+  (OOM-kill, SIGKILL) marks the job ``failed`` with the stable error
+  code ``worker_crashed`` instead of hanging a poller.
 * :class:`ThreadJobPool` runs the job function inline on the worker
   thread — the tested fallback where fork is unavailable, bit-identical
   in results (partition runs are seeded and deterministic).
@@ -32,16 +33,21 @@ process — that is where the service's stats and store pins live.
 
 from __future__ import annotations
 
+import multiprocessing as mp
+import os
 import queue
+import signal
+import stat
 import threading
 import time
 import uuid
 from collections import deque
 from dataclasses import dataclass, field
+from multiprocessing.reduction import ForkingPickler
 
 import numpy as np
 
-from repro.engine.parallel import ForkedCall, fork_available
+from repro.engine.parallel import fork_available
 
 __all__ = [
     "Job",
@@ -71,6 +77,10 @@ POOL_CLOSED = "pool_closed"
 #: long-lived service's memory stays bounded; queued and running jobs
 #: are never dropped.
 MAX_FINISHED_JOBS = 256
+
+#: Seconds a closing pool waits for a signalled worker to exit before
+#: SIGKILL; bounds :meth:`ProcessJobPool.close`.
+_REAP_TIMEOUT_S = 5.0
 
 
 def resolve_pool(pool: str) -> str:
@@ -176,6 +186,8 @@ class ThreadJobPool:
     """
 
     mode = "thread"
+    #: Worker processes forked: never any.
+    started = 0
 
     def execute(self, job: Job, fn) -> None:
         try:
@@ -193,48 +205,175 @@ class ThreadJobPool:
         """Nothing to tear down."""
 
 
+def _drop_inherited_sockets(keep: int) -> None:
+    """Point every inherited socket fd but ``keep`` at ``/dev/null``.
+
+    A worker is forked from a live service, so it inherits the listening
+    socket, in-flight client connections, the service's end of its own
+    pipe and the pipes of workers forked before it.  Holding them would
+    keep those connections open after the service closes them: a client
+    reading a close-delimited response would wait for the worker to
+    exit, and no worker would see EOF when the service dies.  ``dup2``
+    keeps each fd number allocated, so the stale objects that own them
+    close ``/dev/null``, never an unrelated file.  Where
+    ``/proc/self/fd`` does not exist this does nothing.
+    """
+    try:
+        fds = [int(name) for name in os.listdir("/proc/self/fd")]
+    except OSError:
+        return
+    null = os.open(os.devnull, os.O_RDWR)
+    try:
+        for fd in fds:
+            try:
+                if fd not in (keep, null) and stat.S_ISSOCK(os.fstat(fd).st_mode):
+                    os.dup2(null, fd)
+            except OSError:
+                pass  # the listing's own fd, closed by now
+    finally:
+        os.close(null)
+
+
+def _serve_jobs(conn) -> None:
+    """Child body of a :class:`_JobWorker`: run each received job callable.
+
+    Every job is a pickled zero-argument callable; every reply is a
+    pickled ``(ok, payload)`` — ``(True, result)``, or ``(False,
+    (exc_type_name, message))`` when the call (or pickling its result)
+    raised, so the parent keeps the thread pool's ``{code, message}``
+    shape.  The loop ends at EOF, when the service closes the pipe or
+    dies.  SIGINT is ignored: a terminal's Ctrl-C reaches the service
+    too, and the service shuts its workers down itself.
+    """
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    _drop_inherited_sockets(conn.fileno())
+    while True:
+        try:
+            message = conn.recv_bytes()
+        except EOFError:
+            return
+        try:
+            reply = ForkingPickler.dumps((True, ForkingPickler.loads(message)()))
+        except BaseException as exc:  # noqa: BLE001 — reported, the worker lives on
+            reply = ForkingPickler.dumps((False, (type(exc).__name__, str(exc))))
+        conn.send_bytes(reply)
+
+
+class _JobWorker:
+    """One long-lived forked child that runs jobs sent over a duplex pipe.
+
+    The child is **not** daemonic: partition jobs legally fork their own
+    shard workers (``workers>=2`` sharded streaming), and daemonic
+    processes may not have children.
+    """
+
+    def __init__(self) -> None:
+        ctx = mp.get_context("fork")
+        self.conn, child_conn = ctx.Pipe(duplex=True)
+        self.proc = ctx.Process(
+            target=_serve_jobs, args=(child_conn,),
+            name="partition-job-worker", daemon=False,
+        )
+        self.proc.start()
+        child_conn.close()
+
+    def call(self, message: bytes) -> "tuple[str, object]":
+        """Run one pickled job: ``("ok", result)``, ``("error", (code,
+        message))`` or, when the child died without replying,
+        ``("crashed", detail)`` with the child closed and reaped.
+
+        Never hangs on a killed child: the kernel closes the child's end
+        of the pipe on process death, so ``recv`` sees EOF at once.
+        """
+        try:
+            self.conn.send_bytes(message)
+            ok, payload = self.conn.recv()
+        except (EOFError, OSError):
+            self.conn.close()
+            self.reap(kill=False)
+            code = self.proc.exitcode
+            return "crashed", (
+                f"killed by signal {-code}" if code is not None and code < 0
+                else f"exit code {code}"
+            )
+        return ("ok" if ok else "error"), payload
+
+    def reap(self, *, kill: bool = True) -> None:
+        """Reap the child within a bounded time, terminating it first
+        unless ``kill=False`` (a dying child then reports its own exit
+        status)."""
+        if kill and self.proc.is_alive():
+            self.proc.terminate()
+        self.proc.join(timeout=_REAP_TIMEOUT_S)
+        if self.proc.exitcode is None:
+            self.proc.kill()
+            self.proc.join()
+
+    def close(self) -> None:
+        """Close the pipe, then kill and reap the child."""
+        self.conn.close()
+        self.reap()
+
+
 class ProcessJobPool:
-    """Run each job in its own forked child process.
+    """Run jobs on long-lived forked worker processes.
 
     Partition jobs are CPU-bound and mostly interpreter-bound (chunk
     loops, scoring); threads serialise on the GIL, so N sync requests on
-    N cores previously ran at ~1-core speed.  Forking per job (the
-    :class:`~repro.engine.parallel.ForkedCall` machinery) gives each job
-    a whole core and — because the fork inherits the mmap'd chunk store
-    pages copy-on-write — costs no re-ingest and no pickling of inputs;
-    only the result (assignment array + JSON-safe metrics) crosses the
-    pipe, however large (the pipe framing handles multi-megabyte
-    assignments).
+    N cores would run at ~1-core speed.  Each job instead runs on a
+    forked worker that owns a whole core.  A worker is forked on first
+    demand and then reused: it loops on a duplex pipe, receiving a
+    pickled job callable and sending back its outcome, so a job pays a
+    pickle and a pipe round trip instead of a fork, and starts warm.
+    The pool keeps up to ``keep`` idle workers (the store's worker
+    count); more are forked only while every kept worker is busy, and
+    the surplus is reaped when its job ends.  Inputs reach a job as
+    small picklable arguments (a store path and the request spec); the
+    chunk store itself is memory-mapped in the worker, and only the
+    result (assignment array + JSON-safe metrics) crosses back, however
+    large (the pipe framing handles multi-megabyte assignments).
 
-    Crash detection is the contract: a child that dies without
+    Crash detection is the contract: a worker that dies without
     reporting (SIGKILL, OOM) marks its job ``failed`` with the stable
     code ``worker_crashed`` *immediately* (pipe EOF, no timeout, no hung
-    poller).  In-child exceptions keep the exact ``{code, message}``
-    shape the thread pool produces, so clients cannot tell the pools
-    apart on the error path either.
+    poller); the dead worker is dropped and the next job forks a fresh
+    one.  In-child exceptions keep the exact ``{code, message}`` shape
+    the thread pool produces, so clients cannot tell the pools apart on
+    the error path either.  A job callable that cannot be pickled fails
+    in the parent, before any worker is involved.
+
+    After :meth:`close` the pool forks nothing more: a late ``sync`` job
+    runs on the calling thread, as in the thread pool, so no worker can
+    outlive the service.
     """
 
     mode = "process"
 
-    def __init__(self) -> None:
+    def __init__(self, keep: int = 1) -> None:
+        self._keep = keep
         self._lock = threading.Lock()
-        self._active: "dict[str, ForkedCall]" = {}
+        self._idle: "list[_JobWorker]" = []
+        self._busy: "dict[str, _JobWorker]" = {}
+        self._closed = False
+        #: Worker processes forked so far.
+        self.started = 0
 
     def execute(self, job: Job, fn) -> None:
-        call = ForkedCall(fn)
-        with self._lock:
-            self._active[job.id] = call
+        message = ForkingPickler.dumps(fn)
+        worker = self._acquire(job.id)
+        if worker is None:
+            ThreadJobPool().execute(job, fn)
+            return
+        outcome = "crashed"
         try:
-            outcome, payload = call.wait()
+            outcome, payload = worker.call(message)
         finally:
-            with self._lock:
-                self._active.pop(job.id, None)
+            self._release(job.id, worker, outcome != "crashed")
         if outcome == "ok":
             assignment, num_parts, metrics = payload
             job.finish_ok(assignment, num_parts, metrics)
         elif outcome == "error":
-            code, message = payload
-            job.finish_failed(code, message)
+            job.finish_failed(*payload)
         else:
             job.finish_failed(
                 WORKER_CRASHED,
@@ -242,19 +381,52 @@ class ProcessJobPool:
                 "not retried",
             )
 
-    def active_pid(self, job_id: str) -> "int | None":
-        """The child pid currently running ``job_id`` (fault injection)."""
+    def _acquire(self, job_id: str) -> "_JobWorker | None":
+        """An idle worker, or a newly forked one; ``None`` once closed.
+
+        The fork happens under the lock, so :meth:`close` sees every
+        worker that exists.
+        """
         with self._lock:
-            call = self._active.get(job_id)
-        return call.pid if call is not None else None
+            if self._closed:
+                return None
+            if self._idle:
+                worker = self._idle.pop()
+            else:
+                worker = _JobWorker()
+                self.started += 1
+            self._busy[job_id] = worker
+            return worker
+
+    def _release(self, job_id: str, worker: _JobWorker, healthy: bool) -> None:
+        """Keep ``worker`` idle, or reap it when it died, the pool is
+        closed or enough workers are already idle."""
+        with self._lock:
+            if (
+                self._busy.pop(job_id, None) is worker  # else close() took it
+                and healthy
+                and len(self._idle) < self._keep
+            ):
+                self._idle.append(worker)
+                return
+        worker.close()
+
+    def active_pid(self, job_id: str) -> "int | None":
+        """The worker pid currently running ``job_id`` (fault injection)."""
+        with self._lock:
+            worker = self._busy.get(job_id)
+        return worker.proc.pid if worker is not None else None
 
     def close(self) -> None:
-        """Terminate any children still running (service shutdown)."""
+        """Kill and reap every worker, busy or idle (service shutdown)."""
         with self._lock:
-            active = list(self._active.values())
-            self._active.clear()
-        for call in active:
-            call.terminate()
+            self._closed = True
+            idle, busy = self._idle, list(self._busy.values())
+            self._idle, self._busy = [], {}
+        for worker in idle:
+            worker.close()
+        for worker in busy:
+            worker.reap()  # its job thread sees EOF and closes the pipe
 
 
 class JobStore:
@@ -268,8 +440,9 @@ class JobStore:
         queue order is FIFO, so the pool bounds concurrent partition
         runs at ``workers``.
     pool:
-        execution pool: ``"process"`` (forked children — real
-        multi-core throughput), ``"thread"`` (inline), or ``"auto"``
+        execution pool: ``"process"`` (long-lived forked workers, up
+        to ``workers`` of them kept idle — real multi-core
+        throughput), ``"thread"`` (inline), or ``"auto"``
         (process where fork exists, thread otherwise).  See
         :func:`resolve_pool`.
     max_queue_depth:
@@ -286,8 +459,11 @@ class JobStore:
     optional ``on_complete`` callback passed to :meth:`submit` /
     :meth:`run` fires in the parent process after the job reaches a
     terminal state — stats accounting and store unpinning belong there,
-    because in process mode the job function's own side effects happen
-    in a forked copy and are lost.
+    because in process mode the job function runs in a worker process
+    and its side effects never reach the service.  In process mode the
+    job function must also be picklable (a module-level function or a
+    :func:`functools.partial` of one); one that is not fails the job
+    with the pickling error's type and message.
     """
 
     def __init__(
@@ -307,7 +483,8 @@ class JobStore:
         self.pool = resolve_pool(pool)
         self.max_queue_depth = max_queue_depth
         self._pool_impl = (
-            ProcessJobPool() if self.pool == "process" else ThreadJobPool()
+            ProcessJobPool(keep=self.workers)
+            if self.pool == "process" else ThreadJobPool()
         )
         self._jobs: "dict[str, Job]" = {}
         #: Ids of the kept finished jobs, oldest first.
@@ -360,13 +537,17 @@ class JobStore:
     def try_submit(self, job: Job, fn, *, on_complete=None) -> bool:
         """Submit unless the queue is at ``max_queue_depth`` (backpressure).
 
-        Returns ``False`` — job untouched, nothing queued — when the
-        bound would be exceeded; the caller owns the 429 response.
+        Returns ``False`` when the bound would be exceeded: nothing is
+        queued and the job is forgotten (its id answers 404, and it no
+        longer counts in :meth:`counts`); the caller owns the 429
+        response.
         """
         if (
             self.max_queue_depth is not None
             and self.queue_depth() >= self.max_queue_depth
         ):
+            with self._lock:
+                self._jobs.pop(job.id, None)
             return False
         self.submit(job, fn, on_complete=on_complete)
         return True
@@ -375,9 +556,10 @@ class JobStore:
         """Run ``fn`` through the pool on the calling thread (``sync=1``).
 
         Bypasses the queue entirely (no backpressure interaction, works
-        even during shutdown): in process mode this forks a dedicated
-        child and blocks the request thread on its pipe — which releases
-        the GIL, so N concurrent sync requests genuinely run on N cores.
+        even during shutdown): in process mode this takes an idle worker
+        (forking one if every kept worker is busy) and blocks the
+        request thread on its pipe — which releases the GIL, so N
+        concurrent sync requests genuinely run on N cores.
         """
         self._execute(job, fn, on_complete)
         return job
@@ -399,15 +581,21 @@ class JobStore:
         return self._queue.qsize()
 
     def active_pid(self, job_id: str) -> "int | None":
-        """The forked child pid running ``job_id``, if any (process pool)."""
+        """The worker pid running ``job_id``, if any (process pool)."""
         return self._pool_impl.active_pid(job_id)
+
+    @property
+    def workers_started(self) -> int:
+        """Worker processes the pool has forked (``0`` for threads)."""
+        return self._pool_impl.started
 
     def close(self) -> None:
         """Stop the workers after the queue drains (idempotent).
 
         Already-queued jobs finish; *new* submissions fail fast with
-        ``pool_closed``; children still running at the 30s join deadline
-        are terminated so shutdown is bounded.
+        ``pool_closed``; then every worker process, idle or still
+        running a job at the 30s join deadline, is killed and reaped, so
+        shutdown is bounded.
         """
         with self._lock:
             if self._closed:

@@ -255,6 +255,14 @@ class TestErrorPaths:
         status, code = self._error(_request(f"{service.url}/v2/other"))
         assert (status, code) == (404, "not_found")
 
+    def test_path_below_a_job_is_404_for_every_method(self, service):
+        """No resource lives below a job, whatever the method."""
+        url = f"{service.url}/v1/partitions/nope/x"
+        for method in ("GET", "POST", "PUT", "DELETE"):
+            data = None if method == "GET" else b""
+            status, code = self._error(_request(url, method=method, data=data))
+            assert (status, code) == (404, "not_found"), method
+
     def test_method_not_allowed_405(self, service):
         status, code = self._error(
             _request(f"{service.url}/v1/healthz", method="POST", data=b"")
@@ -729,6 +737,7 @@ class TestMetaEndpoints:
             "rejected_requests",
             "evictions",
             "jobs_crashed",
+            "job_workers_started",
         }
 
     def test_version_single_sourced(self, service):

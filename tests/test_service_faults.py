@@ -5,9 +5,10 @@ bounded by the ``wait_for`` deadline (no test may rely on unbounded
 polling):
 
 * a pool worker SIGKILLed mid-job marks the job ``failed`` with the
-  stable ``worker_crashed`` code — the poller never hangs;
+  stable ``worker_crashed`` code — the poller never hangs — and the
+  next job forks a fresh worker;
 * a full job queue answers ``429 queue_full`` with a ``Retry-After``
-  header;
+  header, and the refused job leaves no record behind;
 * LRU eviction cannot reclaim a store pinned by an in-flight replay
   (the race is made deterministic with an explicit pin and with a
   queued job holding the request-path pin);
@@ -28,6 +29,7 @@ from repro.engine.parallel import fork_available
 from repro.hypergraph.io import write_hmetis
 from repro.hypergraph.model import Hypergraph
 from repro.service import (
+    NotFound,
     PartitionService,
     ServiceConfig,
     ServiceHandlers,
@@ -37,6 +39,11 @@ from repro.service import (
 needs_fork = pytest.mark.skipif(
     not fork_available(), reason="process pool needs the fork start method"
 )
+
+
+def stall():
+    time.sleep(120)  # far beyond any test deadline
+    return [0], 1, {}
 
 
 def _request(url, data=None, method=None, headers=None):
@@ -93,11 +100,6 @@ class TestWorkerCrash:
         )
         with PartitionService(cfg) as svc:
             jobs = svc.api.jobs
-
-            def stall():
-                time.sleep(120)  # far beyond any test deadline
-                return [0], 1, {}
-
             job = jobs.create({"k": 1})
             jobs.submit(job, stall, on_complete=svc.api._job_complete)
             pid = wait_for(
@@ -125,6 +127,9 @@ class TestWorkerCrash:
                 f"{svc.url}/v1/partitions?k=2&sync=1", data=tiny_hgr
             )
             assert status == 200 and job2["status"] == "done"
+            # The dead worker was dropped and the next job forked a new one.
+            _, health, _ = _request(f"{svc.url}/v1/healthz")
+            assert health["stats"]["job_workers_started"] == 2
 
 
 # ----------------------------------------------------------------------
@@ -155,6 +160,36 @@ class TestBackpressure:
             assert status == 200 and job["status"] == "done"
             _, health, _ = _request(f"{svc.url}/v1/healthz")
             assert health["stats"]["rejected_requests"] == 1
+
+    def test_refused_job_is_forgotten(self):
+        """A job refused with 429 leaves no ``queued`` record behind: it
+        is not counted, and polling its id answers 404."""
+        api = ServiceHandlers(
+            ServiceConfig(workers=1, pool="thread", max_queue_depth=0)
+        )
+        try:
+            job = api.jobs.create({"k": 2})
+            assert not api.jobs.try_submit(job, stall)
+            assert api.jobs.counts()["queued"] == 0
+            with pytest.raises(NotFound):
+                api.get_partition(job.id)
+        finally:
+            api.close()
+
+    def test_refused_request_leaves_no_job(self, tmp_path, tiny_hgr):
+        cfg = ServiceConfig(
+            port=0, workers=1, pool="thread", max_queue_depth=0,
+            cache_dir=tmp_path / "c",
+        )
+        with PartitionService(cfg) as svc:
+            status, _body, _ = _request(
+                f"{svc.url}/v1/partitions?k=2", data=tiny_hgr
+            )
+            assert status == 429
+            _, health, _ = _request(f"{svc.url}/v1/healthz")
+            assert health["jobs"] == {
+                "queued": 0, "running": 0, "done": 0, "failed": 0
+            }
 
     def test_429_documented_for_the_route(self):
         spec = openapi_spec()
