@@ -417,8 +417,8 @@ def compare_pools(
     partition request) and drives ``requests`` sync replays from
     ``threads`` client threads.  The thread pool serialises the numpy
     pass kernels behind the GIL; the process pool runs each request on
-    one of ``threads`` persistent worker processes (forked once, during
-    the warm-up and the first concurrent requests), so on a multi-core
+    one of ``threads`` persistent worker processes, all forked during
+    the untimed warm-up (see :func:`_warm_pool`), so on a multi-core
     box its rps should pull ahead — that
     ratio is :attr:`PoolLadder.speedup`, asserted in CI (gated on
     ``os.cpu_count()``).  Defaults to ``("thread",)`` only where fork
@@ -445,6 +445,45 @@ def compare_pools(
     return PoolLadder(
         instance=instance, k=k, partitioner=partitioner, runs=runs
     )
+
+
+#: Concurrent warm-up rounds :func:`_warm_pool` tries before giving up.
+#: On a 2-core box, four clients on the 956-pin ladder store needed 1 to
+#: 16 rounds over 8 trials.
+WARM_ROUNDS = 100
+
+
+def _warm_pool(base_url: str, url: str, threads: int) -> int:
+    """Fork one job worker per client thread before the timed phase.
+
+    A process pool forks a worker only while every kept one is busy, so
+    sequential warm-up requests would leave one worker and the timed
+    phase would pay the other forks.  Each round sends ``threads``
+    concurrent requests released together, until healthz counts
+    ``threads`` forks (a thread pool counts none and stops after one
+    round).  The pool keeps up to ``threads`` workers idle, so every
+    fork counted stays alive for the timed phase.  Returns the count.
+    """
+    def started() -> int:
+        health = json.loads(_get_text(f"{base_url}/v1/healthz"))
+        return health["stats"]["job_workers_started"]
+
+    for _ in range(WARM_ROUNDS):
+        gate = threading.Barrier(threads)
+
+        def client() -> None:
+            gate.wait()
+            _post(url, None)
+
+        clients = [threading.Thread(target=client) for _ in range(threads)]
+        for c in clients:
+            c.start()
+        for c in clients:
+            c.join()
+        forks = started()
+        if forks == 0 or forks >= threads:
+            break
+    return forks
 
 
 def _run_pool(
@@ -479,6 +518,7 @@ def _run_pool(
         assert warm["status"] == "done", warm
         text = _get_text(svc.url + warm["links"]["assignment"])
         assignment_digest = hashlib.sha256(text.encode()).hexdigest()
+        _warm_pool(svc.url, url, threads)
 
         per_thread = -(-requests // threads)
         total = per_thread * threads

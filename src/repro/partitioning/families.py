@@ -76,7 +76,11 @@ from repro.engine import (
 )
 from repro.hypergraph.model import Hypergraph
 from repro.streaming.reader import DEFAULT_CHUNK_SIZE, assemble
-from repro.streaming.state import StreamingState, resolve_cost_matrix
+from repro.streaming.state import (
+    StreamingState,
+    presence_state,
+    resolve_cost_matrix,
+)
 
 __all__ = [
     "FamilySpec",
@@ -127,9 +131,10 @@ class NeighborhoodExpansion(Partitioner):
         ``None`` (default) runs against the exact dense table; an
         integer swaps in the same capped-LRU
         :class:`~repro.streaming.state.StreamingState` the out-of-core
-        streamers use — the fringe order is exactly the access pattern
-        that stresses its eviction policy differently from sequential
-        arrival.
+        streamers use under a cap (both built by
+        :func:`~repro.streaming.state.presence_state`) — the fringe
+        order is exactly the access pattern that stresses its eviction
+        policy differently from sequential arrival.
     score_mode / kernel:
         kernel scoring mode and implementation, as in the streamers.
     workers:
@@ -170,17 +175,6 @@ class NeighborhoodExpansion(Partitioner):
         self.workers = int(workers)
 
     # ------------------------------------------------------------------
-    def _make_state(self, num_parts: int, num_edges: int, shard_weight: float):
-        if self.max_tracked_edges is None:
-            return DenseKernelState.empty(num_edges, num_parts)
-        return StreamingState(
-            num_parts,
-            expected_loads=np.full(
-                num_parts, max(shard_weight, 1e-12) / num_parts
-            ),
-            max_tracked_edges=self.max_tracked_edges,
-        )
-
     def partition(
         self,
         hg: Hypergraph,
@@ -219,7 +213,10 @@ class NeighborhoodExpansion(Partitioner):
 
             def task():
                 shard_weight = float(hg.vertex_weights[part_order].sum())
-                state = self._make_state(p, hg.num_edges, shard_weight)
+                state = presence_state(
+                    p, hg.num_edges, np.full(p, max(shard_weight, 1e-12) / p),
+                    self.max_tracked_edges,
+                )
                 local = np.full(hg.num_vertices, -1, dtype=np.int64)
                 cap = self.balance_slack * shard_weight / p
                 t_pass = time.perf_counter()

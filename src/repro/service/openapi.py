@@ -143,8 +143,11 @@ _HEALTH_SCHEMA = {
         "pool": {
             "type": "string",
             "enum": ["process", "thread"],
-            "description": "how partition jobs execute: one forked child "
-            "per job (process) or inline on the worker thread (thread)",
+            "description": "how partition jobs execute: on long-lived "
+            "forked job workers, each reused for job after job with up to "
+            "`workers` of them kept idle (process; stats."
+            "job_workers_started counts the forks), or inline on the "
+            "worker thread (thread)",
         },
         "queue_depth": {
             "type": "integer",

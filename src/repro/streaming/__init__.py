@@ -16,9 +16,11 @@ massive-scale placement of HYPE, arXiv:1810.11319 — makes explicit):
   or an iterable of byte blocks — which is how the HTTP service
   (:mod:`repro.service`) parses uploads straight off the socket without
   materialising them.
-* :mod:`~repro.streaming.state` — :class:`StreamingState`: exact
+* :mod:`~repro.streaming.state` — :func:`presence_state`, the state a
+  stream places into: the dense ``(E x p)`` count matrix when nothing
+  caps the tracked nets, else :class:`StreamingState`, exact
   per-partition loads plus a capped, LRU-evicting per-hyperedge presence
-  table; the bounded stand-in for the dense ``(E x p)`` count matrix.
+  table (the bounded stand-in for that matrix).
 * :mod:`~repro.streaming.onepass` — :class:`OnePassStreamer`: place each
   vertex once, on arrival, with the architecture-aware value function
   (Eq. 1).
@@ -74,7 +76,11 @@ from repro.streaming.chunkstore import (
     source_digest,
     write_store,
 )
-from repro.streaming.state import StreamingState, resolve_cost_matrix
+from repro.streaming.state import (
+    StreamingState,
+    presence_state,
+    resolve_cost_matrix,
+)
 from repro.streaming.onepass import OnePassStreamer
 from repro.streaming.restream import BufferedRestreamer
 from repro.streaming.sharded import ShardedStreamer
@@ -96,6 +102,7 @@ __all__ = [
     "source_digest",
     "cached_stream",
     "StreamingState",
+    "presence_state",
     "resolve_cost_matrix",
     "OnePassStreamer",
     "BufferedRestreamer",

@@ -1,13 +1,14 @@
 """One-pass streaming placement with the architecture-aware value function.
 
 Each vertex is placed exactly once, as its chunk arrives, at the argmax of
-the HyperPRAW value function (Eq. 1) evaluated against the bounded
-:class:`~repro.streaming.state.StreamingState` — this is the single-pass
-min-max streamer family of arXiv:2103.05394, with two HyperPRAW-specific
-ingredients: the cost-matrix communication term ``-N(v) * (C @ X)_i`` and
-the tempered load penalty ``-alpha * W(i)/E(i)``.  A FENNEL-style hard
-balance cap guards against the degenerate all-in-one placement on
-hub-dominated streams.
+the HyperPRAW value function (Eq. 1) evaluated against the stream's
+presence state (:func:`~repro.streaming.state.presence_state`: the dense
+count table, or the capped LRU table under ``max_tracked_edges``) — this
+is the single-pass min-max streamer family of arXiv:2103.05394, with two
+HyperPRAW-specific ingredients: the cost-matrix communication term
+``-N(v) * (C @ X)_i`` and the tempered load penalty
+``-alpha * W(i)/E(i)``.  A FENNEL-style hard balance cap guards against
+the degenerate all-in-one placement on hub-dominated streams.
 
 Unlike the restreamers there is no second chance: quality depends on how
 much of each vertex's neighbourhood has already arrived.  The streamed
@@ -44,7 +45,7 @@ from repro.engine import (
     stitch_shards,
 )
 from repro.streaming.reader import DEFAULT_CHUNK_SIZE, ChunkStream
-from repro.streaming.state import StreamingState, resolve_cost_matrix
+from repro.streaming.state import presence_state, resolve_cost_matrix
 
 __all__ = ["OnePassStreamer"]
 
@@ -106,11 +107,11 @@ class OnePassStreamer(StreamPartitioner):
         ranges are balanced.
     kernel:
         inner-loop implementation request (``"auto"``/``"python"``/
-        ``"njit"``).  The bounded LRU presence table has no compiled
-        path (its eviction order is part of the contract), so this
-        streamer always resolves to python — an explicit ``"njit"``
-        warns once and falls back; the resolved mode is reported as
-        ``kernel_mode`` metadata.
+        ``"njit"``).  An uncapped vertex-mode run places into the dense
+        table and can run the compiled kernel; the capped LRU table has
+        no compiled path (its eviction order is part of the contract),
+        so there an explicit ``"njit"`` warns once and falls back.  The
+        resolved mode is reported as ``kernel_mode`` metadata.
     """
 
     name = "stream-onepass"
@@ -280,7 +281,7 @@ class OnePassStreamer(StreamPartitioner):
         shard_weight: float,
         edge_weights=None,
         rng=None,
-    ) -> "tuple[StreamingState, dict]":
+    ):
         """Place one shard's worth of chunks (the whole stream when
         running single-worker); the sharded driver calls this per worker
         with a shard-local chunk range.
@@ -294,10 +295,9 @@ class OnePassStreamer(StreamPartitioner):
         """
         del edge_weights, rng  # deterministic placement; see docstring
         p = num_parts
-        state = StreamingState(
-            p,
-            expected_loads=np.full(p, shard_weight / p),
-            max_tracked_edges=self.max_tracked_edges,
+        state = presence_state(
+            p, stream_counts[1], np.full(p, shard_weight / p),
+            self.max_tracked_edges,
         )
         alpha = initial_alpha_from_counts(
             stream_counts[0], stream_counts[1], p, self.alpha

@@ -7,7 +7,7 @@ the window fills (and once more at end of stream) the whole window is
 **re-streamed** under Algorithm 1's schedule — the one outer loop,
 :func:`repro.core.schedule.run_schedule`, that in-memory HyperPRAW runs
 too.  Re-streamed vertices are then frozen; their pin counts stay in the
-(capped) presence table so later windows coordinate with them.
+presence state so later windows coordinate with them.
 
 Convergence knob: with ``buffer_size=None`` (unbounded) and an unbounded
 presence table the entire stream is one window and the algorithm **is**
@@ -19,9 +19,11 @@ with the buffer, which the streaming benchmark scenario tracks.
 
 The window pass is the shared engine kernel
 (:func:`repro.engine.kernel.pass_kernel`) in restream mode over the
-bounded table — the same loop in-memory HyperPRAW runs over the dense
-``(E x p)`` matrix, which is what makes the unbounded configuration
-reproduce it exactly.  With ``config.chunk_size`` set, window passes run
+stream's presence state (:func:`~repro.streaming.state.presence_state`).
+With no ``max_tracked_edges`` cap that is the dense ``(E x p)`` matrix
+in-memory HyperPRAW runs over, which is what makes the unbounded
+configuration reproduce it exactly; under a cap it is the bounded LRU
+table.  With ``config.chunk_size`` set, window passes run
 in the kernel's vectorised chunk-restream mode instead: each window is
 split into ``chunk_size`` sub-blocks, the whole sub-block is lifted out
 in one batch and scored with one matmul against the block-start table
@@ -69,7 +71,7 @@ from repro.engine import (
     stream_windows,
 )
 from repro.streaming.reader import DEFAULT_CHUNK_SIZE, ChunkStream
-from repro.streaming.state import StreamingState, resolve_cost_matrix
+from repro.streaming.state import presence_state, resolve_cost_matrix
 
 __all__ = ["BufferedRestreamer"]
 
@@ -87,7 +89,8 @@ class BufferedRestreamer(StreamPartitioner):
         ``config.chunk_size`` switches window restreams to the kernel's
         vectorised chunk mode (sub-blocks lifted out in one batch, one
         matmul each); ``config.kernel`` requests the inner-loop
-        implementation (always python over the bounded table — see
+        implementation (the compiled kernel needs the dense table and
+        vertex mode, so a capped run resolves to python — see
         ``kernel_mode`` metadata).
     buffer_size:
         window capacity in vertices; ``None`` buffers the whole stream
@@ -250,7 +253,7 @@ class BufferedRestreamer(StreamPartitioner):
         edge_weights: "np.ndarray | None" = None,
         history: "list[IterationRecord] | None" = None,
         rng=None,
-    ) -> "tuple[StreamingState, dict]":
+    ):
         """Window-and-restream one shard's chunks (the whole stream when
         running single-worker); the sharded driver calls this per worker
         with a shard-local chunk range.
@@ -264,16 +267,15 @@ class BufferedRestreamer(StreamPartitioner):
         """
         del rng  # deterministic restreaming; see docstring
         p = num_parts
-        state = StreamingState(
-            p,
-            expected_loads=np.full(p, shard_weight / p),
-            max_tracked_edges=self.max_tracked_edges,
+        state = presence_state(
+            p, stream_counts[1], np.full(p, shard_weight / p),
+            self.max_tracked_edges,
         )
         alpha0 = initial_alpha_from_counts(
             stream_counts[0], stream_counts[1], p, self.config.alpha_initial
         )
         # Resolve the kernel once per shard (one fallback warning at
-        # most): the bounded LRU table always resolves to python.
+        # most): the capped LRU table always resolves to python.
         kernel_mode = resolve_kernel(
             self.config.kernel,
             state,
@@ -296,7 +298,7 @@ class BufferedRestreamer(StreamPartitioner):
     def _stream_shard(
         self,
         chunks,
-        state: StreamingState,
+        state,
         C: np.ndarray,
         alpha0: float,
         edge_weights: "np.ndarray | None",
@@ -317,13 +319,24 @@ class BufferedRestreamer(StreamPartitioner):
             "pass_seconds": 0.0,
         }
 
+        deferred = getattr(state, "place_deferred", False)
+
         def arrivals():
             # Algorithm 1 line 1, streamed: arrivals start round-robin.
+            # A deferred state takes the chunk's pins in one batch and its
+            # loads through one unbuffered add, the same float additions
+            # in the same order as placing vertex by vertex.
             for chunk in chunks:
-                for i, v in enumerate(chunk.ids.tolist()):
-                    j = v % p
-                    state.place(chunk.edges_of(i), j, chunk.vertex_weights[i])
-                    assignment[v] = j
+                parts = chunk.ids % p
+                if deferred:
+                    state.insert_block(chunk.vertex_edges, chunk.vertex_ptr, parts)
+                    np.add.at(state.loads, parts, chunk.vertex_weights)
+                else:
+                    for i in range(chunk.num_vertices):
+                        state.place(
+                            chunk.edges_of(i), int(parts[i]), chunk.vertex_weights[i]
+                        )
+                assignment[chunk.ids] = parts
                 yield chunk
 
         # The window bound is on vertices, not chunks: arriving chunks are
@@ -347,7 +360,7 @@ class BufferedRestreamer(StreamPartitioner):
     def _restream_window(
         self,
         win: VertexBlock,
-        state: StreamingState,
+        state,
         C: np.ndarray,
         alpha0: float,
         edge_weights: "np.ndarray | None",

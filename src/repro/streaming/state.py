@@ -1,23 +1,32 @@
-"""Bounded partition state for the streaming partitioners.
+"""Partition state for the streaming partitioners.
 
-In-memory HyperPRAW's :class:`~repro.engine.states.DenseKernelState`
-keeps the full ``(E x p)`` hyperedge-partition count matrix — exactly the
-structure an out-of-core run cannot afford.  :class:`StreamingState` keeps the same
-two ingredients of the value function in bounded form:
+A stream knows its net count up front, so a run with no cap on tracked
+nets keeps Algorithm 1's own exact ``(E x p)`` count table,
+:class:`~repro.engine.states.DenseKernelState`, exactly as in-memory
+HyperPRAW does: :func:`presence_state` builds it, and it takes a
+block's placements in one batch.  That is the configuration under which
+:class:`~repro.streaming.restream.BufferedRestreamer` with no buffer
+bound reproduces in-memory HyperPRAW bit for bit.
+
+Under a ``max_tracked_edges`` cap (the limited-memory setting of
+Taşyaran et al., arXiv:2103.05394) :func:`presence_state` builds
+:class:`StreamingState` instead, which keeps the same two ingredients
+of the value function in bounded form:
 
 * ``loads`` — per-partition vertex-weight totals (``p`` floats, exact);
 * a **capped per-hyperedge presence table**: per-partition pin counts for
   at most ``max_tracked_edges`` hyperedges, with least-recently-referenced
   eviction.  Streaming partitioners reference a hyperedge whenever one of
   its pins arrives or is re-placed, so under the locality that makes
-  streaming partitioning work at all (arXiv:2103.05394's limited-memory
-  streamers make the same bet with their capped connectivity structures),
-  the hot nets stay resident and the stale ones fall off.
+  streaming partitioning work at all (the limited-memory streamers make
+  the same bet with their capped connectivity structures), the hot nets
+  stay resident and the stale ones fall off.
 
-With ``max_tracked_edges=None`` the table is unbounded and the state is
-an exact sparse mirror of the dense state — the configuration under which
-:class:`~repro.streaming.restream.BufferedRestreamer` reproduces
-in-memory HyperPRAW bit for bit.
+:class:`StreamingState` also runs uncapped (``max_tracked_edges=None``),
+as an exact sparse mirror of the dense table; min-max's
+:class:`~repro.partitioning.families.MinMaxState` does so whether capped
+or not, because its scorer reads a live connectivity counter the dense
+table does not keep.
 
 Evicted counts are simply lost: a later ``remove`` for an evicted
 hyperedge is clamped at zero rather than recreating phantom negative
@@ -49,8 +58,9 @@ from repro.architecture.cost import (
 )
 from repro.core.metrics import table_comm_cost
 from repro.engine.blocks import segment_row_sum
+from repro.engine.states import DenseKernelState
 
-__all__ = ["StreamingState", "resolve_cost_matrix"]
+__all__ = ["StreamingState", "presence_state", "resolve_cost_matrix"]
 
 
 def resolve_cost_matrix(
@@ -65,6 +75,51 @@ def resolve_cost_matrix(
         return uniform_cost_matrix(num_parts), False
     C = validate_cost_matrix(cost_matrix, num_units=num_parts)
     return C, not is_uniform_cost(C)
+
+
+def _check_expected_loads(expected_loads, num_parts: int) -> np.ndarray:
+    expected = np.asarray(expected_loads, dtype=np.float64)
+    if expected.shape != (num_parts,):
+        raise ValueError(
+            f"expected_loads must have shape ({num_parts},), "
+            f"got {expected.shape}"
+        )
+    if (expected <= 0).any():
+        raise ValueError("expected_loads must be strictly positive")
+    return expected
+
+
+def presence_state(
+    num_parts: int,
+    num_edges: int,
+    expected_loads: np.ndarray,
+    max_tracked_edges: "int | None" = None,
+) -> "DenseKernelState | StreamingState":
+    """The kernel state a stream places into.
+
+    With no cap, the dense ``(num_edges x p)`` table; under a cap, the
+    bounded LRU :class:`StreamingState`.  Every uncapped stream driver
+    and its sharded and cluster workers build their state here.
+
+    The dense counts are int32, as in-memory HyperPRAW's are (a count
+    never exceeds its net's degree), which keeps the block gather's
+    sparse product as fast as HyperPRAW's; over int64 counts an
+    unbounded restream ran 1.4x slower than in-memory HyperPRAW
+    (docs/performance.md).  Exports to the sharded merge are int64, as
+    the capped table's rows are.
+    """
+    if max_tracked_edges is not None:
+        return StreamingState(
+            num_parts,
+            expected_loads=expected_loads,
+            max_tracked_edges=max_tracked_edges,
+        )
+    return DenseKernelState(
+        num_parts,
+        np.zeros((num_edges, num_parts), dtype=np.int32),
+        np.zeros(num_parts, dtype=np.float64),
+        _check_expected_loads(expected_loads, num_parts),
+    )
 
 
 class StreamingState:
@@ -96,14 +151,7 @@ class StreamingState:
             )
         self.num_parts = int(num_parts)
         self.loads = np.zeros(num_parts, dtype=np.float64)
-        self.expected_loads = np.asarray(expected_loads, dtype=np.float64)
-        if self.expected_loads.shape != (num_parts,):
-            raise ValueError(
-                f"expected_loads must have shape ({num_parts},), "
-                f"got {self.expected_loads.shape}"
-            )
-        if (self.expected_loads <= 0).any():
-            raise ValueError("expected_loads must be strictly positive")
+        self.expected_loads = _check_expected_loads(expected_loads, num_parts)
         self.max_tracked_edges = max_tracked_edges
         initial = max_tracked_edges if max_tracked_edges is not None else 1024
         # one row per slot, plus a last row that stays zero: slot -1, the

@@ -773,11 +773,31 @@ class TestKernelModes:
         assert np.array_equal(s_py.loads, s_nj.loads)
 
     def test_explicit_njit_on_lru_table_warns_and_falls_back(self, instance):
-        """StreamingState always runs python; explicit njit says so once."""
-        streamer = OnePassStreamer(chunk_size=32, kernel="njit")
+        """The capped StreamingState always runs python; explicit njit
+        says so once."""
+        streamer = OnePassStreamer(
+            chunk_size=32, kernel="njit", max_tracked_edges=instance.num_edges // 2
+        )
         with pytest.warns(RuntimeWarning, match="falling back"):
             r = streamer.partition(instance, 4)
         assert r.metadata["kernel_mode"] == "python"
+
+    @pytest.mark.skipif(not NUMBA_AVAILABLE, reason="numba not installed")
+    def test_uncapped_streams_run_the_compiled_kernel(self, instance):
+        """Uncapped vertex-mode streams place into the dense table, so
+        ``kernel="auto"`` compiles them, with the python path's answer."""
+        for make in (
+            lambda kernel: OnePassStreamer(chunk_size=32, kernel=kernel),
+            lambda kernel: BufferedRestreamer(
+                HyperPRAWConfig(record_history=False, kernel=kernel),
+                buffer_size=64,
+            ),
+        ):
+            auto = make("auto").partition(instance, 4)
+            python = make("python").partition(instance, 4)
+            assert auto.metadata["kernel_mode"] == "njit"
+            assert python.metadata["kernel_mode"] == "python"
+            assert _digest(auto.assignment) == _digest(python.assignment)
 
     @pytest.mark.skipif(NUMBA_AVAILABLE, reason="numba is installed")
     def test_njit_without_numba_warns_and_falls_back(self, instance):
@@ -797,13 +817,15 @@ class TestKernelModes:
         )
         assert r.metadata["kernel_mode"] in ("python", "njit")
         assert r.metadata["pass_seconds"] > 0.0
+        # uncapped vertex-mode streams compile under kernel="auto"
+        streamed = "njit" if NUMBA_AVAILABLE else "python"
         r2 = OnePassStreamer(chunk_size=32).partition(instance, 4)
-        assert r2.metadata["kernel_mode"] == "python"
+        assert r2.metadata["kernel_mode"] == streamed
         assert r2.metadata["pass_seconds"] >= 0.0
         r3 = BufferedRestreamer(
             HyperPRAWConfig(record_history=False), buffer_size=64
         ).partition(instance, 4)
-        assert r3.metadata["kernel_mode"] == "python"
+        assert r3.metadata["kernel_mode"] == streamed
         assert r3.metadata["pass_seconds"] > 0.0
 
     def test_invalid_kernel_rejected_everywhere(self, instance):

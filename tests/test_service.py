@@ -139,8 +139,8 @@ class TestPartitionLifecycle:
         )
         assert status == 200
         assert job["request"]["kernel"] == "python"
-        # Streaming partitioners run the LRU presence table, which
-        # always resolves to the python kernel — honestly reported.
+        # An explicit kernel=python request runs python, whatever the
+        # state — honestly reported.
         assert job["metrics"]["kernel_mode"] == "python"
         assert job["metrics"]["pass_seconds"] >= 0.0
         _, health = _request(f"{service.url}/v1/healthz")

@@ -28,7 +28,7 @@ _COUNT = re.compile(
 )
 
 #: sha256 of ``json.dumps(openapi_spec(), sort_keys=True)``.
-SPEC_SHA256 = "7114f08895034f791532e266ab05b637411631097d78e53741d2366c0990cb0b"
+SPEC_SHA256 = "39ebcf9f384e285b11045bb7eac94438a9b0f5743b87c2e45c6aa7027e7b7051"
 
 KEY = "k-golden"
 

@@ -311,6 +311,25 @@ class TestPersistentWorkers:
         (pid,) = pids
         assert _reaped(pid)
 
+    def test_pool_ladder_warms_one_worker_per_client(self, tmp_path, tiny_hgr):
+        """The pool ladder's untimed warm-up forks a worker per client
+        thread, so its timed phase forks none."""
+        from repro.bench.service import _warm_pool
+
+        cfg = ServiceConfig(
+            port=0, workers=2, pool="process", cache_dir=tmp_path / "c"
+        )
+        with PartitionService(cfg) as svc:
+            _, store = _request(f"{svc.url}/v1/stores", tiny_hgr)
+            url = (
+                f"{svc.url}/v1/partitions?k=2&sync=1&store={store['digest']}"
+            )
+            assert _warm_pool(svc.url, url, 2) == 2
+            for _ in range(4):
+                assert _request(url, b"")[1]["status"] == "done"
+            _, health = _request(f"{svc.url}/v1/healthz")
+            assert health["stats"]["job_workers_started"] == 2
+
     def test_unpicklable_job_fails_and_forks_nothing(self):
         def local():  # a local function cannot be pickled
             return [0], 1, {}
